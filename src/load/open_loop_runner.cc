@@ -54,7 +54,6 @@ Status OpenLoopRunner::ValidateConfig(const OpenLoopConfig& cfg) {
 
 OpenLoopRunner::OpenLoopRunner(OpenLoopConfig cfg)
     : cfg_(cfg),
-      sim_(CostModel{}, cfg.scheduler),
       fabric_(&sim_, cfg.fabric),
       workload_(cfg.workload),
       arrival_(cfg.arrival, cfg.connections),

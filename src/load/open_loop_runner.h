@@ -112,7 +112,6 @@ struct OpenLoopConfig {
   // 4096-slot RX ring or synchronized SYN retransmits collapse in lockstep.
   std::size_t ramp_batch = 2048;
   std::uint64_t seed = 1;
-  SchedulerKind scheduler = kDefaultSchedulerKind;
   OpenLoopTenantConfig tenant;  // disabled by default; see struct comment
 };
 

@@ -2,54 +2,35 @@
 
 #include <algorithm>
 
-#include "src/sim/timer_wheel.h"
-
 namespace demi {
 
-namespace {
-std::unique_ptr<EventQueue> MakeEventQueue(SchedulerKind kind) {
-  if (kind == SchedulerKind::kBinaryHeap) {
-    return std::make_unique<HeapEventQueue>();
-  }
-  return std::make_unique<TimerWheel>();
-}
-}  // namespace
-
-Simulation::Simulation(CostModel cost, SchedulerKind scheduler)
-    : cost_(cost), scheduler_kind_(scheduler), events_(MakeEventQueue(scheduler)) {}
+Simulation::Simulation(CostModel cost) : cost_(cost), cores_(1) {}
 
 void Simulation::ConfigureCores(int n) {
   DEMI_CHECK(n >= 1);
   while (num_cores() < n) {
-    CoreCtx ctx;
-    ctx.events = MakeEventQueue(scheduler_kind_);
-    ctx.metrics = std::make_unique<MetricsRegistry>();
-    ctx.metrics->set_enabled(metrics_.enabled());
-    cores_.push_back(std::move(ctx));
+    cores_.emplace_back();
+    cores_.back().metrics->set_enabled(Core(0).metrics->enabled());
   }
 }
 
 MetricsRegistry& Simulation::metrics(int core) {
-  if (core == 0) {
-    return metrics_;
-  }
-  DEMI_CHECK(core > 0 && core < num_cores());
-  return *cores_[static_cast<std::size_t>(core - 1)].metrics;
+  DEMI_CHECK(core >= 0 && core < num_cores());
+  return *Core(core).metrics;
 }
 
 void Simulation::SetMetricsEnabled(bool enabled) {
-  metrics_.set_enabled(enabled);
   for (CoreCtx& ctx : cores_) {
     ctx.metrics->set_enabled(enabled);
   }
 }
 
 MetricsSnapshot Simulation::MergedSnapshot() {
-  MetricsSnapshot snap = metrics_.Snapshot(counters_, now_);
+  MetricsSnapshot snap = Core(0).metrics->Snapshot(counters_, now_);
   // Counters are simulation-global and appear exactly once (from the snapshot
-  // above); only the per-core histograms and traces need folding in.
-  for (CoreCtx& ctx : cores_) {
-    ctx.metrics->MergeHistogramsInto(snap);
+  // above); only the other cores' histograms and traces need folding in.
+  for (int core = 1; core < num_cores(); ++core) {
+    Core(core).metrics->MergeHistogramsInto(snap);
   }
   std::stable_sort(snap.trace.begin(), snap.trace.end(),
                    [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
@@ -61,7 +42,7 @@ TimeNs Simulation::core_busy_until(int core) const {
     return now_;
   }
   DEMI_CHECK(core > 0 && core < num_cores());
-  return cores_[static_cast<std::size_t>(core - 1)].busy_until;
+  return Core(core).busy_until;
 }
 
 int Simulation::SetHomeCore(int core) {
@@ -88,7 +69,7 @@ TimerId Simulation::ScheduleAtOn(int core, TimeNs when, std::function<void()> fn
   DEMI_CHECK(core >= 0 && core < num_cores());
   ++schedule_calls_;
   const TimerId id = AllocSlot(std::move(fn));
-  QueueOf(core).Push(SchedEntry{std::max(when, now_), next_seq_++, id});
+  Core(core).events.Push(SchedEntry{std::max(when, now_), next_seq_++, id});
   return id;
 }
 
@@ -129,7 +110,7 @@ void Simulation::Cancel(TimerId id) {
   if (s.gen != gen || !s.fn) {
     return;  // already fired, slot reused, or already cancelled
   }
-  s.fn = nullptr;  // tombstone: the heap entry pops as a no-op at its due time
+  s.fn = nullptr;  // tombstone: the wheel entry pops as a no-op at its due time
   ++cancelled_count_;
 }
 
@@ -140,15 +121,10 @@ void Simulation::AddPoller(Poller* poller) {
 void Simulation::AddPollerOn(int core, Poller* poller) {
   DEMI_CHECK(poller != nullptr);
   DEMI_CHECK(core >= 0 && core < num_cores());
-  if (core == 0) {
-    pollers_.push_back(poller);
-  } else {
-    cores_[static_cast<std::size_t>(core - 1)].pollers.push_back(poller);
-  }
+  Core(core).pollers.push_back(poller);
 }
 
 void Simulation::RemovePoller(Poller* poller) {
-  pollers_.erase(std::remove(pollers_.begin(), pollers_.end(), poller), pollers_.end());
   for (CoreCtx& ctx : cores_) {
     ctx.pollers.erase(std::remove(ctx.pollers.begin(), ctx.pollers.end(), poller),
                       ctx.pollers.end());
@@ -156,21 +132,14 @@ void Simulation::RemovePoller(Poller* poller) {
 }
 
 bool Simulation::idle() const {
-  if (!events_->empty()) {
-    return false;
-  }
-  for (const CoreCtx& ctx : cores_) {
-    if (!ctx.events->empty()) {
-      return false;
-    }
-  }
-  return true;
+  return std::all_of(cores_.begin(), cores_.end(),
+                     [](const CoreCtx& ctx) { return ctx.events.empty(); });
 }
 
 std::size_t Simulation::pending_events() const {
-  std::size_t total = events_->size();
+  std::size_t total = 0;
   for (const CoreCtx& ctx : cores_) {
-    total += ctx.events->size();
+    total += ctx.events.size();
   }
   return total - cancelled_count_;
 }
@@ -179,7 +148,7 @@ int Simulation::EarliestCore() {
   int best = -1;
   const SchedEntry* best_top = nullptr;
   for (int core = 0; core < num_cores(); ++core) {
-    EventQueue& queue = QueueOf(core);
+    TimerWheel& queue = Core(core).events;
     // Release cancelled tombstones at the head so they neither win the comparison
     // nor linger as phantom next-event times for the idle jump.
     const SchedEntry* top;
@@ -202,27 +171,25 @@ int Simulation::EarliestCore() {
 }
 
 void Simulation::RunInBubble(int core, const std::function<void()>& fn) {
-  CoreCtx& ctx = cores_[static_cast<std::size_t>(core - 1)];
   const TimeNs saved = now_;
   const int prev_core = current_core_;
   current_core_ = core;
   fn();
   current_core_ = prev_core;
-  ctx.busy_until = std::max(ctx.busy_until, now_);
+  TimeNs& busy_until = Core(core).busy_until;
+  busy_until = std::max(busy_until, now_);
   now_ = saved;
 }
 
 bool Simulation::RunDue() {
   std::uint64_t ran = 0;
   while (true) {
-    const int core = cores_.empty() ? (events_->Peek() != nullptr ? 0 : -1)
-                                    : EarliestCore();
+    const int core = EarliestCore();
     if (core < 0) {
       break;
     }
-    EventQueue& queue = QueueOf(core);
-    const SchedEntry* top = queue.Peek();
-    if (top == nullptr || top->due > now_) {
+    TimerWheel& queue = Core(core).events;
+    if (queue.Peek()->due > now_) {
       break;
     }
     const SchedEntry ev = queue.Pop();
@@ -245,43 +212,46 @@ bool Simulation::RunDue() {
     }
   }
   if (ran > 0) {
-    metrics_.RecordStat(SimStat::kDispatchBatch, ran);
+    Core(0).metrics->RecordStat(SimStat::kDispatchBatch, ran);
   }
   return ran > 0;
+}
+
+bool Simulation::PollCore(int core) {
+  bool progress = false;
+  for (std::size_t i = 0; i < Core(core).pollers.size(); ++i) {
+    progress |= Core(core).pollers[i]->Poll();
+  }
+  return progress;
 }
 
 bool Simulation::StepOnce() {
   DEMI_CHECK(!in_step_ && "blocking waits may not nest inside Poller::Poll");
   in_step_ = true;
-  metrics_.RecordStat(SimStat::kSchedHeapDepth, pending_events());
+  // Simulation-wide step statistics live in core 0's registry. The registry sits
+  // behind a pointer, so this reference survives ConfigureCores during polling.
+  MetricsRegistry& stats = *Core(0).metrics;
+  stats.RecordStat(SimStat::kSchedHeapDepth, pending_events());
   const TimeNs poll_start = now_;
-  bool progress = false;
-  // Iterate by index: pollers may be added during polling (e.g. accept spawns actors).
-  for (std::size_t i = 0; i < pollers_.size(); ++i) {
-    progress |= pollers_[i]->Poll();
-  }
+  // Core 0 polls first, outside any bubble: its work advances the global clock.
+  bool progress = PollCore(0);
   // Bubble cores, in fixed index order (the deterministic interleaving rule): a
   // core polls only once the global clock has caught up with its busy horizon, and
   // the clock advance its poll causes becomes the new horizon.
   for (int core = 1; core < num_cores(); ++core) {
-    CoreCtx& ctx = cores_[static_cast<std::size_t>(core - 1)];
-    if (ctx.pollers.empty() || now_ < ctx.busy_until) {
+    if (Core(core).pollers.empty() || now_ < Core(core).busy_until) {
       continue;
     }
     bool core_progress = false;
-    RunInBubble(core, [&] {
-      for (std::size_t i = 0; i < ctx.pollers.size(); ++i) {
-        core_progress |= ctx.pollers[i]->Poll();
-      }
-    });
+    RunInBubble(core, [&] { core_progress = PollCore(core); });
     progress |= core_progress;
   }
   const TimeNs dispatch_start = now_;
-  metrics_.RecordStat(SimStat::kStepPollNs,
-                      static_cast<std::uint64_t>(dispatch_start - poll_start));
+  stats.RecordStat(SimStat::kStepPollNs,
+                   static_cast<std::uint64_t>(dispatch_start - poll_start));
   progress |= RunDue();
-  metrics_.RecordStat(SimStat::kStepDispatchNs,
-                      static_cast<std::uint64_t>(now_ - dispatch_start));
+  stats.RecordStat(SimStat::kStepDispatchNs,
+                   static_cast<std::uint64_t>(now_ - dispatch_start));
   in_step_ = false;
   if (progress) {
     return true;
@@ -292,10 +262,10 @@ bool Simulation::StepOnce() {
   const int core = EarliestCore();
   TimeNs target = -1;
   if (core >= 0) {
-    target = QueueOf(core).Peek()->due;
+    target = Core(core).events.Peek()->due;
   }
   for (int c = 1; c < num_cores(); ++c) {
-    const CoreCtx& ctx = cores_[static_cast<std::size_t>(c - 1)];
+    const CoreCtx& ctx = Core(c);
     if (!ctx.pollers.empty() && ctx.busy_until > now_ &&
         (target < 0 || ctx.busy_until < target)) {
       target = ctx.busy_until;
@@ -305,7 +275,7 @@ bool Simulation::StepOnce() {
     return false;  // completely idle
   }
   if (target > now_) {
-    metrics_.RecordStat(SimStat::kIdleJumpNs, static_cast<std::uint64_t>(target - now_));
+    stats.RecordStat(SimStat::kIdleJumpNs, static_cast<std::uint64_t>(target - now_));
   }
   now_ = std::max(now_, target);
   RunDue();

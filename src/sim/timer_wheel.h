@@ -13,11 +13,14 @@
 // intrusive singly-linked list of pooled 32-byte nodes with a per-level occupancy
 // bitmap, so finding the next non-empty slot is a word scan, not a list walk.
 //
-// Determinism: the wheel must be bit-identical to the heap oracle (event_queue.h) —
-// same pop order, same idle-jump timestamps. Entries keep their exact due time (the
-// 64 ns tick only buckets them); all entries of the next due tick are moved into a
-// `ready_` staging buffer and sorted by (due, seq), which restores the global order
-// because distinct ticks never interleave and seq breaks ties within one.
+// Determinism: pop order is exactly (due, seq) — seq is the global schedule order,
+// so same-time events run in the order they were scheduled — and Peek() returns
+// the exact earliest entry, so idle jumps land the clock on the exact due times.
+// Entries keep their exact due time (the 64 ns tick only buckets them); all
+// entries of the next due tick are moved into a `ready_` staging buffer and sorted
+// by (due, seq), which restores the global order because distinct ticks never
+// interleave and seq breaks ties within one. tests/sim_timer_wheel_test.cc checks
+// this against a sorted reference over 100k random schedule/cancel operations.
 //
 // Advancing jumps straight to the next occupied slot rather than ticking through
 // empty ones. A jump must not trust level 0 alone: a higher-level slot can cover
@@ -33,11 +36,23 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/sim/event_queue.h"
+#include "src/sim/time.h"
 
 namespace demi {
 
-class TimerWheel final : public EventQueue {
+// Opaque handle for cancelling a scheduled event: (slot generation << 32) | slot.
+using TimerId = std::uint64_t;
+constexpr TimerId kInvalidTimer = 0;
+
+// What the wheel orders. The event callback itself lives in Simulation's pooled
+// side table, so entries stay trivially copyable.
+struct SchedEntry {
+  TimeNs due;
+  std::uint64_t seq;  // tie-break: same-time events run in schedule order
+  TimerId id;
+};
+
+class TimerWheel {
  public:
   static constexpr int kResBits = 6;   // 64 ns per tick
   static constexpr int kSlotBits = 8;  // 256 slots per level
@@ -46,11 +61,14 @@ class TimerWheel final : public EventQueue {
 
   TimerWheel();
 
-  void Push(const SchedEntry& e) override;
-  const SchedEntry* Peek() override;
-  SchedEntry Pop() override;
-  bool empty() const override { return size_ == 0; }
-  std::size_t size() const override { return size_; }
+  void Push(const SchedEntry& e);
+  // Earliest entry by (due, seq), or nullptr when empty. The pointer is invalidated
+  // by the next Push/Pop.
+  const SchedEntry* Peek();
+  // Removes and returns the earliest entry. Precondition: not empty.
+  SchedEntry Pop();
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
 
   // Test introspection: the level an entry with this due time would land on if
   // pushed right now (-1 = the already-due ready buffer).
