@@ -85,6 +85,11 @@ struct SkewArm {
   std::uint64_t steal_attempts;
   std::size_t shard_conns[4];
   std::uint64_t shard_served[4];
+
+  // Victim probes per completion actually moved; callers check stolen > 0.
+  double AttemptsPerStolen() const {
+    return static_cast<double>(steal_attempts) / static_cast<double>(stolen);
+  }
 };
 
 SkewArm SkewedTail(const Shape& shape, bool steal) {
@@ -174,13 +179,20 @@ std::string Json(const std::vector<ScalePoint>& echo,
     std::snprintf(
         buf, sizeof(buf),
         "\"achieved_rps\": %.0f, \"p50_ns\": %llu, \"p99_ns\": %llu, "
-        "\"p999_ns\": %llu, \"stolen\": %llu, \"steal_attempts\": %llu},\n",
+        "\"p999_ns\": %llu, \"stolen\": %llu, \"steal_attempts\": %llu, "
+        "\"attempts_per_stolen\": ",
         arm->pt.achieved_rps, static_cast<unsigned long long>(arm->pt.latency.p50),
         static_cast<unsigned long long>(arm->pt.latency.p99),
         static_cast<unsigned long long>(arm->pt.latency.p999),
         static_cast<unsigned long long>(arm->stolen),
         static_cast<unsigned long long>(arm->steal_attempts));
     j += buf;
+    if (arm->stolen == 0) {
+      j += "null},\n";
+    } else {
+      std::snprintf(buf, sizeof(buf), "%.3f},\n", arm->AttemptsPerStolen());
+      j += buf;
+    }
   }
   std::snprintf(buf, sizeof(buf), "  \"deterministic\": %s\n}\n",
                 deterministic ? "true" : "false");
@@ -231,19 +243,25 @@ int Run() {
   // --- Section 2: skewed shard load, stealing on vs off ------------------------
   std::printf("\nZipf-skewed shard imbalance (skew 1.5, 360 krps aggregate, 4 "
               "workers; hot shard alone is over one core's capacity):\n\n");
-  bench::Row("%10s | %14s %10s %10s %10s %12s\n", "stealing", "achieved rps",
-             "p50 us", "p99 us", "p99.9 us", "stolen");
+  bench::Row("%10s | %14s %10s %10s %10s %10s %14s %16s\n", "stealing",
+             "achieved rps", "p50 us", "p99 us", "p99.9 us", "stolen",
+             "steal attempts", "attempts/stolen");
   bench::Row("--------------------------------------------------------------------"
-             "--\n");
+             "------------------------------------\n");
   const SkewArm off = SkewedTail(shape, false);
   const SkewArm on = SkewedTail(shape, true);
   for (const auto* arm : {&off, &on}) {
-    bench::Row("%10s | %14.0f %10.1f %10.1f %10.1f %12llu\n",
+    char per_stolen[32] = "-";
+    if (arm->stolen > 0) {
+      std::snprintf(per_stolen, sizeof(per_stolen), "%.3f", arm->AttemptsPerStolen());
+    }
+    bench::Row("%10s | %14.0f %10.1f %10.1f %10.1f %10llu %14llu %16s\n",
                arm == &on ? "on" : "off", arm->pt.achieved_rps,
                static_cast<double>(arm->pt.latency.p50) / 1e3,
                static_cast<double>(arm->pt.latency.p99) / 1e3,
                static_cast<double>(arm->pt.latency.p999) / 1e3,
-               static_cast<unsigned long long>(arm->stolen));
+               static_cast<unsigned long long>(arm->stolen),
+               static_cast<unsigned long long>(arm->steal_attempts), per_stolen);
     bench::Row("%10s |   per-shard conns %zu/%zu/%zu/%zu, served "
                "%llu/%llu/%llu/%llu\n",
                "", arm->shard_conns[0], arm->shard_conns[1], arm->shard_conns[2],

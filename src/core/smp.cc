@@ -68,6 +68,7 @@ SmpWorker::SmpWorker(WorkerPool* pool, Simulation* sim, SimNic* nic, int index,
     if (op == OpType::kPop && ok) {
       (void)libos_->Pop(qd);
     }
+    PublishOverload(*this);
   });
   response_blob_ = Buffer::Allocate(kMaxResponseBytes);
   std::memset(response_blob_.mutable_data(), 0, response_blob_.size());
@@ -159,26 +160,42 @@ SgArray SmpWorker::ResponseSga(std::uint32_t bytes) {
   return SgArray(response_blob_.Slice(0, bytes));
 }
 
-bool SmpWorker::TrySteal() {
-  if (victims_.empty()) {
-    for (int i = 1; i < pool_->size(); ++i) {
-      victims_.push_back(&pool_->worker((index_ + i) % pool_->size()));
-    }
-    if (victims_.empty()) {
-      return false;
-    }
+void SmpWorker::PublishOverload(SmpWorker& writer) {
+  if (!pool_->stealing_) {
+    return;
   }
+  const std::uint64_t bit = std::uint64_t{1} << index_;
+  const bool overloaded = libos_->ready_size() >= cfg_.steal_threshold;
+  if (((pool_->overload_word_ & bit) != 0) == overloaded) {
+    return;  // no store, no coherence traffic
+  }
+  pool_->overload_word_ ^= bit;
+  writer.cpu_.Work(writer.cpu_.cost().cacheline_transfer_ns);
+  writer.seen_version_ = ++pool_->overload_version_;
+}
+
+bool SmpWorker::TrySteal() {
+  const std::uint64_t word = pool_->overload_word_ & ~(std::uint64_t{1} << index_);
+  if (word == 0 && seen_version_ == pool_->overload_version_) {
+    return false;  // nothing stored since our last read: a local cache hit, free
+  }
+  // Fetching the word's line after a store (or to act on a set bit) is one
+  // cross-core read.
   const CostModel& cost = cpu_.cost();
-  for (std::size_t k = 0; k < victims_.size(); ++k) {
-    SmpWorker& victim = *victims_[(victim_cursor_ + k) % victims_.size()];
-    // Reading a remote ready ring is a cross-core cache probe, paid even when it
-    // comes back empty — spinning thieves are not free.
-    cpu_.Work(cost.steal_probe_ns);
-    cpu_.Count(Counter::kStealAttempts);
-    if (victim.libos_->ready_size() < cfg_.steal_threshold) {
-      cpu_.Count(Counter::kStealAborts);
+  cpu_.Work(cost.steal_probe_ns);
+  seen_version_ = pool_->overload_version_;
+  // Victims in ring order after ourselves, so thieves fan out across overloaded
+  // peers rather than all piling onto the lowest-numbered one.
+  const int n = pool_->size();
+  for (int k = 1; k < n; ++k) {
+    const int v = (index_ + k) % n;
+    if ((word & (std::uint64_t{1} << v)) == 0) {
       continue;
     }
+    SmpWorker& victim = pool_->worker(v);
+    // Reading the victim's ready-ring head/tail is a cross-core cache probe.
+    cpu_.Work(cost.steal_probe_ns);
+    cpu_.Count(Counter::kStealAttempts);
     // One cross-core kick per batch: the victim's next poll sees its rings and
     // dirty lists mutated under it and must resynchronize.
     cpu_.Work(cost.ipi_wakeup_ns);
@@ -191,7 +208,9 @@ bool SmpWorker::TrySteal() {
       HandleCompletion(rc, &victim);
       ++moved;
     }
-    victim_cursor_ = (victim_cursor_ + k + 1) % victims_.size();
+    // Draining the victim below the threshold clears its bit; the thief that
+    // caused the flip pays for the store.
+    victim.PublishOverload(*this);
     if (moved > 0) {
       return true;
     }
@@ -223,15 +242,17 @@ bool SmpWorker::Poll() {
     ++handled;
     progress = true;
   }
-  if (cfg_.steal && handled == 0 && pool_->size() > 1) {
+  PublishOverload(*this);
+  if (pool_->stealing_ && handled == 0) {
     progress |= TrySteal();
   }
   return progress;
 }
 
 WorkerPool::WorkerPool(Simulation* sim, SimNic* nic, SmpConfig cfg)
-    : cfg_(std::move(cfg)) {
+    : cfg_(std::move(cfg)), stealing_(cfg_.steal && cfg_.workers > 1) {
   DEMI_CHECK(cfg_.workers >= 1);
+  DEMI_CHECK(cfg_.workers <= 64 && "one overload-word bit per worker");
   DEMI_CHECK(nic->config().num_queues >= cfg_.workers &&
              "one NIC queue pair per sharded worker");
   sim->ConfigureCores(cfg_.workers + 1);

@@ -10,10 +10,14 @@
 //
 // The load-balancing hole in pure RSS sharding is skew: a hot shard's tail latency
 // collapses while its neighbours idle. The fix is ZygOS-style work stealing at the
-// *completion* layer: a worker that finds its own ready ring empty probes its peers
-// and executes ready completions (popped requests) for them, paying explicit
-// cross-core costs from the cost model — steal_probe_ns per probe,
-// cacheline_transfer_ns per migrated completion, ipi_wakeup_ns per steal batch.
+// *completion* layer: a worker that finds its own ready ring empty executes ready
+// completions (popped requests) for an overloaded peer. Which peers are worth
+// probing is published in one pool-wide overload word — one bit per worker, set
+// while its ready ring holds >= steal_threshold completions — so an idle thief
+// reads one word instead of blind-probing every peer (the Linux root-domain
+// `overload` flag). Cross-core costs come from the cost model: steal_probe_ns per
+// read of a non-empty or changed word and per probed victim, cacheline_transfer_ns
+// per bit flip and per migrated completion, ipi_wakeup_ns per steal batch.
 // Claiming a completion releases its qtoken (LibOS::PopReady), so exactly one
 // consumer ever handles it and a stale token is rejected with kBadDescriptor.
 // Responses are pushed back through the *owner's* libOS: the connection, its
@@ -38,7 +42,8 @@ namespace demi {
 
 struct SmpConfig {
   // One shard per worker: worker w runs on sim core w+1 and drives NIC queue w.
-  // The NIC must be configured with at least this many queues.
+  // The NIC must be configured with at least this many queues. At most 64: each
+  // worker owns one bit of the pool's 64-bit overload word.
   int workers = 1;
   std::uint16_t port = 7;  // every worker listens here; RSS spreads the flows
   Ipv4Address ip;
@@ -98,6 +103,11 @@ class SmpWorker final : public Poller, public CompletionWatcher {
 
   void ArmAccept();
   bool HandleWatched(QToken token);
+  // Re-derives this worker's overload bit from its ready-ring depth; called
+  // wherever the depth changes. Flipping the bit is a store to the shared word
+  // that invalidates every thief's copy, so `writer` — the core that changed the
+  // depth — pays cacheline_transfer_ns and now holds the line.
+  void PublishOverload(SmpWorker& writer);
   // Executes one claimed completion on THIS core for `owner`'s shard (owner ==
   // this for home work, a peer for stolen work).
   void HandleCompletion(ReadyCompletion& rc, SmpWorker* owner);
@@ -114,8 +124,9 @@ class SmpWorker final : public Poller, public CompletionWatcher {
   Buffer response_blob_;  // shared storage for every response payload (zero alloc)
   std::vector<QToken> watched_done_;  // deferred watched completions
   std::vector<QToken> watched_scratch_;
-  std::vector<SmpWorker*> victims_;  // steal order, built lazily on first probe
-  std::size_t victim_cursor_ = 0;    // round-robin start within victims_
+  // WorkerPool::overload_version_ when this worker last read or wrote the word:
+  // while they match, its cached copy is current and re-reading it is free.
+  std::uint64_t seen_version_ = 0;
   std::uint64_t served_ = 0;
   std::uint64_t stolen_executed_ = 0;
   std::uint64_t accepted_ = 0;
@@ -137,9 +148,17 @@ class WorkerPool {
   // Sum of pending qtokens across every worker libOS — 0 after a full drain is the
   // no-hung-qtoken invariant under stealing and NIC death alike.
   std::size_t total_pending_ops() const;
+  // Bit w is set while worker w's ready ring holds >= steal_threshold
+  // completions. Always 0 unless stealing is on with more than one worker.
+  std::uint64_t overload_word() const { return overload_word_; }
 
  private:
+  friend class SmpWorker;
+
   SmpConfig cfg_;
+  bool stealing_;  // steal on and > 1 worker: only then is the word maintained
+  std::uint64_t overload_word_ = 0;
+  std::uint64_t overload_version_ = 0;  // bumped on every bit flip (every store)
   std::vector<std::unique_ptr<SmpWorker>> workers_;
 };
 

@@ -68,8 +68,11 @@ struct CostModel {
                                       // (remote-read latency on a same-socket mesh).
   TimeNs ipi_wakeup_ns = 400;         // IPI-equivalent cross-core notification
                                       // (kick a remote core's pipeline).
-  TimeNs steal_probe_ns = 40;         // inspecting a remote worker's ready-ring
-                                      // head/tail (one read of a contended line).
+  TimeNs steal_probe_ns = 40;         // one read of a contended line: a victim's
+                                      // ready-ring head/tail (per victim whose
+                                      // overload bit is set), or the pool's
+                                      // overload word when non-empty or stored
+                                      // to since the last read.
 
   // --- Network fabric ---
   TimeNs wire_latency_ns = 1000;    // propagation + one switch hop, intra-rack.

@@ -1,7 +1,7 @@
 // Multi-core scale-out tests (DESIGN.md §13): per-core event contexts and metrics,
 // the PopReady stale-token contract behind completion stealing, RSS sharding across
-// worker libOSes, steal accounting, NIC-death chaos (no hung qtokens), and bit
-// determinism of the whole SMP harness at every core count.
+// worker libOSes, steal accounting and the overload word, NIC-death chaos (no hung
+// qtokens), and bit determinism of the whole SMP harness at every core count.
 
 #include <gtest/gtest.h>
 
@@ -196,6 +196,57 @@ TEST(SmpHarness, NicDeathLeavesNoHungQToken) {
   // The invariant: device death may fail every operation, but it may not strand
   // one — no pending qtoken survives anywhere in the pool.
   EXPECT_EQ(h.pool().total_pending_ops(), 0u);
+  // Nor a stranded overload bit that would keep thieves probing a dead shard.
+  EXPECT_EQ(h.pool().overload_word(), 0u);
+}
+
+// Below capacity no ready ring reaches the steal threshold, so no overload bit is
+// ever published and idle workers pay for no probes at all — an empty word that
+// has not changed is a local cache hit.
+TEST(SmpHarness, BalancedLoadPaysNoStealProbes) {
+  SmpHarnessConfig cfg = SmallSmp(4);
+  cfg.shard_skew = 1.0;
+  SmpHarness h(cfg);
+  ASSERT_TRUE(h.Ramp());
+  // Shard 0 carries ~48% of 150k: ~72k rps against its 200k capacity.
+  SweepPoint pt = h.RunPoint(150'000, 2 * kMillisecond, 10 * kMillisecond, "calm");
+  EXPECT_GT(pt.completed, 0u);
+  EXPECT_GT(h.pool().total_served(), 0u);
+  EXPECT_EQ(h.sim().counters().Get(Counter::kStealAttempts), 0u);
+  EXPECT_EQ(h.pool().total_stolen(), 0u);
+}
+
+// The overload word is exact at every step: bit w is set precisely while worker
+// w's ready ring holds >= steal_threshold completions, however the depth changed
+// (delivery, home consumption, or a thief's claim). Once load stops and the rings
+// drain, no bit is left behind.
+TEST(SmpHarness, OverloadWordTracksReadyRings) {
+  SmpHarnessConfig cfg = SmallSmp(4);
+  cfg.shard_skew = 1.5;
+  SmpHarness h(cfg);
+  ASSERT_TRUE(h.Ramp());
+  std::ignore = h.RunPoint(500'000, kMillisecond, kMillisecond, "skew");
+  const std::size_t threshold = h.pool().config().steal_threshold;
+  std::uint64_t steps_with_bits = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    ASSERT_TRUE(h.sim().StepOnce());
+    const std::uint64_t word = h.pool().overload_word();
+    for (int w = 0; w < h.pool().size(); ++w) {
+      const bool bit = (word >> w & 1u) != 0;
+      ASSERT_EQ(bit, h.pool().worker(w).libos().ready_size() >= threshold)
+          << "worker " << w << " at step " << step;
+    }
+    steps_with_bits += word != 0 ? 1 : 0;
+  }
+  EXPECT_GT(steps_with_bits, 0u) << "the hot shard never published overload";
+  EXPECT_GT(h.pool().total_stolen(), 0u);
+
+  h.StopLoad();
+  h.sim().RunFor(100 * kMillisecond);
+  EXPECT_EQ(h.pool().overload_word(), 0u);
+  // Drained: only the standing pop per connection and accept per worker remain.
+  EXPECT_EQ(h.pool().total_pending_ops(),
+            h.pool().total_accepted() + static_cast<std::size_t>(h.pool().size()));
 }
 
 struct SmpDigest {
