@@ -104,9 +104,9 @@ int Run() {
               cfg.connections, cfg.client_stacks, cfg.server_ports, cfg.ramp_batch);
   const double ramp_t0 = WallNs();
   OpenLoopRunner runner(cfg);
-  const bool ramp_ok = runner.Ramp();
+  const bool ramp_ok = runner.fleet().Ramp();
   std::printf("ramp: %s, %zu established / %llu accepted (%.1fs wall)\n\n",
-              ramp_ok ? "ok" : "FAILED", runner.established_connections(),
+              ramp_ok ? "ok" : "FAILED", runner.fleet().established_connections(),
               static_cast<unsigned long long>(runner.accepted_connections()),
               (WallNs() - ramp_t0) / 1e9);
 
@@ -116,7 +116,7 @@ int Run() {
   bench::Row("-----------------------------------------------------------------"
              "-----------------\n");
   for (double rate : rates) {
-    SweepPoint pt = runner.RunPoint(rate, warmup, measure);
+    SweepPoint pt = runner.fleet().RunPoint(rate, warmup, measure);
     bench::Row("%14.0f %14.0f %10.1f %10.1f %10.1f %10.1f %10llu\n", pt.offered_rps,
                pt.achieved_rps, static_cast<double>(pt.latency.p50) / 1e3,
                static_cast<double>(pt.latency.p99) / 1e3,
@@ -125,7 +125,7 @@ int Run() {
                static_cast<unsigned long long>(pt.completed));
     sweep.push_back(SweepRow{pt});
   }
-  runner.StopLoad();
+  runner.fleet().StopLoad();
 
   const std::string json = Json(sweep, cfg, ramp_ok);
   bench::WriteMetricsFile("bench_l1_openloop", json);

@@ -66,7 +66,7 @@ SmpHarnessConfig BaseConfig(const Shape& shape, int workers, WorkloadKind kind) 
 ScalePoint SaturatedThroughput(const Shape& shape, int workers, WorkloadKind kind) {
   SmpHarnessConfig cfg = BaseConfig(shape, workers, kind);
   SmpHarness h(cfg);
-  if (!h.Ramp()) {
+  if (!h.fleet().Ramp()) {
     std::printf("[SHAPE-FAIL] ramp failed at %d workers\n", workers);
     std::exit(1);
   }
@@ -74,8 +74,8 @@ ScalePoint SaturatedThroughput(const Shape& shape, int workers, WorkloadKind kin
   // this point IS the saturated service rate.
   const double offered = 400'000.0 * workers;
   ScalePoint sp{workers, offered,
-                h.RunPoint(offered, shape.warmup, shape.measure, "saturate")};
-  h.StopLoad();
+                h.fleet().RunPoint(offered, shape.warmup, shape.measure, "saturate")};
+  h.fleet().StopLoad();
   return sp;
 }
 
@@ -97,7 +97,7 @@ SkewArm SkewedTail(const Shape& shape, bool steal) {
   cfg.steal = steal;
   cfg.shard_skew = 1.5;
   SmpHarness h(cfg);
-  if (!h.Ramp()) {
+  if (!h.fleet().Ramp()) {
     std::printf("[SHAPE-FAIL] skew ramp failed (steal=%d)\n", steal ? 1 : 0);
     std::exit(1);
   }
@@ -110,14 +110,14 @@ SkewArm SkewedTail(const Shape& shape, bool steal) {
   // hot shard's ready ring diverges for the whole window; steal-on, idle
   // neighbours drain it.
   SkewArm arm;
-  arm.pt = h.RunPoint(360'000, shape.warmup, 2 * shape.measure, "skew");
+  arm.pt = h.fleet().RunPoint(360'000, shape.warmup, 2 * shape.measure, "skew");
   arm.stolen = h.pool().total_stolen();
   arm.steal_attempts = h.sim().counters().Get(Counter::kStealAttempts);
   for (int w = 0; w < 4; ++w) {
-    arm.shard_conns[w] = h.shard_connections(w);
+    arm.shard_conns[w] = h.fleet().shard_connections(w);
     arm.shard_served[w] = h.pool().worker(w).requests_served();
   }
-  h.StopLoad();
+  h.fleet().StopLoad();
   return arm;
 }
 
@@ -136,12 +136,12 @@ Digest DeterminismRun(const Shape& shape) {
   cfg.shard_skew = 1.5;  // skewed so the deterministic schedule includes steals
   cfg.seed = 11;
   SmpHarness h(cfg);
-  if (!h.Ramp()) {
+  if (!h.fleet().Ramp()) {
     std::printf("[SHAPE-FAIL] determinism ramp failed\n");
     std::exit(1);
   }
-  std::ignore = h.RunPoint(360'000, shape.warmup, shape.measure, "det");
-  return Digest{h.sim().now(), h.completed_total(), h.pool().total_stolen()};
+  std::ignore = h.fleet().RunPoint(360'000, shape.warmup, shape.measure, "det");
+  return Digest{h.sim().now(), h.fleet().completed_total(), h.pool().total_stolen()};
 }
 
 const char* KindName(WorkloadKind k) {

@@ -9,14 +9,6 @@ namespace demi {
 
 namespace {
 
-std::uint64_t SplitMix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 double Zeta(std::uint64_t n, double theta) {
@@ -30,9 +22,9 @@ double Zeta(std::uint64_t n, double theta) {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t sm = seed;
   for (auto& s : s_) {
-    s = SplitMix64(sm);
+    s = SplitMix64(seed);
+    seed += 0x9e3779b97f4a7c15ull;
   }
 }
 

@@ -13,6 +13,26 @@
 
 namespace demi {
 
+// splitmix64: a full-avalanche 64-bit mix (Steele et al.), used to expand seeds
+// and to hash keys.
+inline std::uint64_t SplitMix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// Derives an independent seed from a run seed and a per-component salt, so the
+// load generator, the server stack and each client stack draw uncorrelated streams
+// from one configured seed.
+inline std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t salt) {
+  std::uint64_t x = seed ^ (salt * 0x9e3779b97f4a7c15ull);
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  return x;
+}
+
 // xoshiro256** — tiny, fast, high-quality; good enough for workloads (not crypto).
 class Rng {
  public:

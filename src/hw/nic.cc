@@ -1,8 +1,30 @@
 #include "src/hw/nic.h"
 
+#include <algorithm>
+#include <array>
+#include <span>
+
+#include "src/common/byte_order.h"
 #include "src/common/logging.h"
 
 namespace demi {
+
+namespace {
+
+// Toeplitz-in-spirit RSS: FNV-1a over a flow's wire-order addresses and ports,
+// reduced to a queue index.
+int RssHash(std::span<const std::byte> flow, int num_queues) {
+  if (num_queues <= 1) {
+    return 0;
+  }
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::byte b : flow) {
+    h = (h ^ std::to_integer<std::uint8_t>(b)) * 1099511628211ULL;
+  }
+  return static_cast<int>(h % static_cast<std::uint64_t>(num_queues));
+}
+
+}  // namespace
 
 SimNic::SimNic(HostCpu* host, Fabric* fabric, MacAddress mac, NicConfig config)
     : host_(host), fabric_(fabric), mac_(mac), config_(config) {
@@ -382,29 +404,22 @@ void SimNic::ClearRxPrograms(int queue) {
 }
 
 int SimNic::RssQueue(const Buffer& frame) const {
-  if (config_.num_queues == 1) {
-    return 0;
-  }
-  // Toeplitz-in-spirit: hash the L3/L4 region of an IPv4 frame (addresses + ports).
+  // The L3/L4 region of an IPv4 frame: src/dst IP then ports.
   const auto bytes = frame.span();
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
-  const std::size_t begin = kEthHeaderSize + 12;  // src/dst IP then ports
-  const std::size_t end = std::min(frame.size(), kEthHeaderSize + 24);
-  for (std::size_t i = begin; i < end && i < bytes.size(); ++i) {
-    h = (h ^ std::to_integer<std::uint8_t>(bytes[i])) * 1099511628211ULL;
-  }
-  return static_cast<int>(h % static_cast<std::uint64_t>(config_.num_queues));
+  const std::size_t begin = std::min(bytes.size(), kEthHeaderSize + 12);
+  const std::size_t end = std::min(bytes.size(), kEthHeaderSize + 24);
+  return RssHash(bytes.subspan(begin, end - begin), config_.num_queues);
 }
 
-int SimNic::RssForTuple(const std::array<std::uint8_t, 12>& tuple, int num_queues) {
-  if (num_queues <= 1) {
-    return 0;
-  }
-  std::uint64_t h = 1469598103934665603ULL;  // same FNV-1a as RssQueue()
-  for (const std::uint8_t b : tuple) {
-    h = (h ^ b) * 1099511628211ULL;
-  }
-  return static_cast<int>(h % static_cast<std::uint64_t>(num_queues));
+int SimNic::RssForFlow(std::uint32_t src_ip, std::uint32_t dst_ip, std::uint16_t src_port,
+                       std::uint16_t dst_port, int num_queues) {
+  std::array<std::byte, 12> flow;
+  ByteWriter w(flow);
+  w.U32(src_ip);
+  w.U32(dst_ip);
+  w.U16(src_port);
+  w.U16(dst_port);
+  return RssHash(flow, num_queues);
 }
 
 void SimNic::AddSteeringRule(std::uint8_t ip_proto, std::uint16_t dst_port, int queue) {

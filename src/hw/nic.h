@@ -140,12 +140,12 @@ class SimNic {
   };
   const QueueStats& queue_stats(int queue) const;
 
-  // Predicts the RSS queue for a flow without building a frame: `tuple` is the 12
-  // wire-order bytes the hardware hashes (src IP, dst IP, src port, dst port — all
-  // big-endian, the IPv4 frame region [eth+12, eth+24)). Load generators use this to
-  // know which queue — hence which RSS-sharded worker — a flow will land on. Must
-  // stay in lockstep with the private RssQueue().
-  static int RssForTuple(const std::array<std::uint8_t, 12>& tuple, int num_queues);
+  // Predicts the RSS queue of an IPv4 flow without building a frame, hashing the
+  // same wire-order bytes RssQueue() reads from a frame (src IP, dst IP, src port,
+  // dst port). Load generators use this to know which queue — hence which
+  // RSS-sharded worker — a flow will land on.
+  static int RssForFlow(std::uint32_t src_ip, std::uint32_t dst_ip, std::uint16_t src_port,
+                        std::uint16_t dst_port, int num_queues);
 
   // --- Multi-tenant sharing (DESIGN.md "Tenant isolation model") ---
   //

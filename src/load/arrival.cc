@@ -6,8 +6,7 @@
 
 namespace demi {
 
-ArrivalProcess::ArrivalProcess(ArrivalConfig cfg, std::size_t connections)
-    : cfg_(cfg), connections_(std::max<std::size_t>(connections, 1)) {
+ArrivalProcess::ArrivalProcess(ArrivalConfig cfg) : cfg_(cfg) {
   DEMI_CHECK(cfg_.mmpp_burst_factor >= 1.0);
   DEMI_CHECK(cfg_.mmpp_on_mean_ns > 0 && cfg_.mmpp_off_mean_ns > 0);
 }
@@ -29,17 +28,6 @@ double ArrivalProcess::current_rps() const {
   const double off = static_cast<double>(cfg_.mmpp_off_mean_ns);
   const double quiet = offered_rps_ * (off + on) / (off + cfg_.mmpp_burst_factor * on);
   return on_phase_ ? quiet * cfg_.mmpp_burst_factor : quiet;
-}
-
-TimeNs ArrivalProcess::NextGapNs(Rng& rng) const {
-  const double rps = current_rps();
-  if (rps <= 0) {
-    return kNever;
-  }
-  const double mean_gap_ns = 1e9 * static_cast<double>(connections_) / rps;
-  const double gap = rng.NextExponential(mean_gap_ns);
-  // Clamp into the representable range; a sub-ns draw still schedules "now-ish".
-  return static_cast<TimeNs>(std::min(gap, 9.0e18));
 }
 
 TimeNs ArrivalProcess::NextDwellNs(Rng& rng) const {

@@ -7,9 +7,9 @@
 // stops offering load exactly when the system under test stalls, which is when the
 // tail matters most.
 //
-// Two processes:
-//   - Poisson: independent exponential inter-arrival gaps at a fixed aggregate rate,
-//     split evenly across connections. Memoryless, so redrawing every pending gap at
+// The process owns only the aggregate rate and the MMPP phase; ClientFleet splits
+// the current rate across connections and draws each connection's exponential gaps.
+//   - Poisson: a fixed aggregate rate. Memoryless, so redrawing every pending gap at
 //     a rate change (the per-sweep-point reschedule) is statistically identical to
 //     letting old draws run out — and deliberately storms the timer wheel.
 //   - MMPP (Markov-modulated Poisson): a two-phase on/off modulator. The process
@@ -20,8 +20,6 @@
 
 #ifndef SRC_LOAD_ARRIVAL_H_
 #define SRC_LOAD_ARRIVAL_H_
-
-#include <cstddef>
 
 #include "src/common/random.h"
 #include "src/sim/time.h"
@@ -40,29 +38,21 @@ struct ArrivalConfig {
 
 class ArrivalProcess {
  public:
-  ArrivalProcess(ArrivalConfig cfg, std::size_t connections);
+  explicit ArrivalProcess(ArrivalConfig cfg);
 
   // Sets the aggregate offered load and resets the modulator to the quiet phase.
   void SetRate(double offered_rps);
-  double offered_rps() const { return offered_rps_; }
   bool bursty() const { return cfg_.process == ArrivalConfig::Process::kMmpp; }
-  bool on_phase() const { return on_phase_; }
-
-  // Exponential gap to one connection's next arrival at the current phase rate.
-  // Returns kNever when the offered load is zero (no arrivals).
-  static constexpr TimeNs kNever = -1;
-  TimeNs NextGapNs(Rng& rng) const;
 
   // Exponential dwell remaining in the current phase (MMPP only).
   TimeNs NextDwellNs(Rng& rng) const;
   void FlipPhase() { on_phase_ = !on_phase_; }
 
-  // Current aggregate rate (phase-adjusted), requests/sec. Exposed for tests.
+  // Current aggregate rate (phase-adjusted), requests/sec.
   double current_rps() const;
 
  private:
   ArrivalConfig cfg_;
-  std::size_t connections_;
   double offered_rps_ = 0;
   bool on_phase_ = false;
 };

@@ -14,13 +14,6 @@ namespace {
 constexpr std::uint32_t kValueClasses[] = {64, 96, 128, 192, 256, 512, 1024, 4096};
 constexpr std::size_t kNumValueClasses = sizeof(kValueClasses) / sizeof(kValueClasses[0]);
 
-std::uint64_t Splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 WorkloadModel::WorkloadModel(WorkloadConfig cfg)
@@ -48,7 +41,7 @@ Buffer WorkloadModel::BuildRequest(std::uint32_t response_bytes) const {
 }
 
 std::uint32_t WorkloadModel::ValueBytes(std::uint64_t key) {
-  return kValueClasses[Splitmix64(key) % kNumValueClasses];
+  return kValueClasses[SplitMix64(key) % kNumValueClasses];
 }
 
 std::uint32_t WorkloadModel::DecodeResponseBytes(const std::uint8_t header[kHeaderBytes]) {

@@ -3,9 +3,9 @@
 // Both workloads share one wire protocol so the server stays a lean byte-stream
 // machine with no per-workload parsing: every request is exactly `request_bytes`
 // long and its first 4 bytes carry the expected response length (little-endian).
-// The server consumes fixed-size requests off the TCP stream and answers each with
-// that many bytes sliced from one shared pre-built blob — zero per-request
-// allocation on either side.
+// Requests and responses each travel as one §5.2 frame (client_fleet.h); the
+// server answers each request with that many bytes sliced from one shared
+// pre-built blob — no per-request payload allocation on either side.
 //
 //   - Echo: response length == request length. The SLO baseline.
 //   - KV: the client samples a key from a Zipfian popularity distribution (hot keys
@@ -46,7 +46,6 @@ class WorkloadModel {
 
   explicit WorkloadModel(WorkloadConfig cfg);
 
-  std::size_t request_bytes() const { return cfg_.request_bytes; }
   const WorkloadConfig& config() const { return cfg_; }
 
   // One request: a shared pre-built payload and the response size it asks for.

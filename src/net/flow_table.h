@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/net/packet.h"
 
 namespace demi {
@@ -69,14 +70,9 @@ class FlowTable {
     TcpConnection* conn = nullptr;
   };
 
-  // splitmix64 finisher: full-avalanche over the packed key, so sequential ports
-  // and adversarially clustered 4-tuples still spread across the table.
-  static std::uint64_t HashKey(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
+  // Full avalanche over the packed key, so sequential ports and adversarially
+  // clustered 4-tuples still spread across the table.
+  static std::uint64_t HashKey(std::uint64_t x) { return SplitMix64(x); }
 
   void Grow();
 

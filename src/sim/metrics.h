@@ -166,7 +166,7 @@ class MetricsRegistry {
 
   // Free-form named histogram for subsystems whose series are not known at compile
   // time (the open-loop load harness registers one per sweep point, e.g.
-  // "openloop/50000rps/latency_ns"). Same handle discipline as OpLatencyHandle: one
+  // "openloop/run/50000rps/latency_ns"). Same handle discipline as OpLatencyHandle: one
   // map lookup up front, stable pointer for the registry's lifetime, then recording
   // is an inlined branch + bucket increment via RecordNamed.
   Histogram* NamedHistogram(std::string_view name);

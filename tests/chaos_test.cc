@@ -383,31 +383,35 @@ TEST(ChaosTest, OpenLoopFleetDrainsCleanlyWhenClientNicDiesMidSweep) {
   cfg.seed = 42;
   OpenLoopRunner r(cfg);
   FaultInjector faults(&r.sim(), 42);
-  const FaultDeviceId victim = r.client_nic(3).AttachFaultInjector(&faults);
+  const FaultDeviceId victim = r.fleet().client_nic(3).AttachFaultInjector(&faults);
 
-  ASSERT_TRUE(r.Ramp());
-  ASSERT_EQ(r.established_connections(), kConnections);
+  ASSERT_TRUE(r.fleet().Ramp());
+  ASSERT_EQ(r.fleet().established_connections(), kConnections);
 
   // Device death lands inside the measurement window (warmup 2ms + 5ms).
   faults.ScheduleDeviceFailure(victim, r.sim().now() + 7 * kMillisecond);
   const SweepPoint pt =
-      r.RunPoint(500'000, 2 * kMillisecond, 10 * kMillisecond);
-  r.StopLoad();
+      r.fleet().RunPoint(500'000, 2 * kMillisecond, 10 * kMillisecond);
+  r.fleet().StopLoad();
   // Drain: everything issued on surviving connections completes; everything on
   // the dead stack has been tallied as lost.
   ASSERT_TRUE(r.sim().RunUntil(
-      [&] { return r.completed_total() + r.lost_in_flight() >= r.issued_total(); },
+      [&] {
+        return r.fleet().completed_total() + r.fleet().lost_in_flight() >=
+               r.fleet().issued_total();
+      },
       r.sim().now() + 5 * kSecond));
 
   EXPECT_GT(pt.completed, 0u);
   // Exactly the dead stack's share of the fleet died, exactly once each.
-  EXPECT_EQ(r.unexpected_deaths(), kConnections / 8);
-  EXPECT_EQ(r.established_connections(), kConnections - kConnections / 8);
+  EXPECT_EQ(r.fleet().unexpected_deaths(), kConnections / 8);
+  EXPECT_EQ(r.fleet().established_connections(), kConnections - kConnections / 8);
   // Conservation: issued == completed + lost, with no stray response bytes — the
   // failover drain neither lost nor duplicated a completion.
-  EXPECT_EQ(r.completed_total() + r.lost_in_flight(), r.issued_total());
-  EXPECT_EQ(r.stray_response_bytes(), 0u);
-  EXPECT_GT(r.lost_in_flight(), 0u);  // the kill landed mid-flight
+  EXPECT_EQ(r.fleet().completed_total() + r.fleet().lost_in_flight(),
+            r.fleet().issued_total());
+  EXPECT_EQ(r.fleet().stray_response_bytes(), 0u);
+  EXPECT_GT(r.fleet().lost_in_flight(), 0u);  // the kill landed mid-flight
   // Tenant machinery is dormant outside tenant mode: a single-owner chaos run
   // must never trip a capability check or a doorbell throttle.
   EXPECT_EQ(r.sim().counters().Get(Counter::kCapabilityViolations), 0u);

@@ -31,10 +31,10 @@ TEST(OpenLoopRamp, EstablishesAndAcceptsEveryConnection) {
   OpenLoopConfig cfg = SmallConfig();
   cfg.connections = 4096;
   OpenLoopRunner r(cfg);
-  ASSERT_TRUE(r.Ramp());
-  EXPECT_EQ(r.established_connections(), cfg.connections);
+  ASSERT_TRUE(r.fleet().Ramp());
+  EXPECT_EQ(r.fleet().established_connections(), cfg.connections);
   EXPECT_EQ(r.accepted_connections(), cfg.connections);
-  EXPECT_EQ(r.unexpected_deaths(), 0u);
+  EXPECT_EQ(r.fleet().unexpected_deaths(), 0u);
 }
 
 // Everything random in the harness draws from seeded generators, so two runs
@@ -67,19 +67,19 @@ RunDigest RunOnce(std::uint64_t seed) {
   OpenLoopRunner r(cfg);
 
   RunDigest d{};
-  r.set_completion_probe([&](TimeNs intended, TimeNs completed) {
+  r.fleet().set_completion_probe([&](TimeNs intended, TimeNs completed) {
     if (d.first_intents.size() < 64) {
       d.first_intents.push_back(intended);
       d.first_intents.push_back(completed);
     }
   });
-  EXPECT_TRUE(r.Ramp());
-  const SweepPoint pt = r.RunPoint(40'000, 2 * kMillisecond, 10 * kMillisecond);
-  d.issued = r.issued_total();
-  d.completed = r.completed_total();
+  EXPECT_TRUE(r.fleet().Ramp());
+  const SweepPoint pt = r.fleet().RunPoint(40'000, 2 * kMillisecond, 10 * kMillisecond);
+  d.issued = r.fleet().issued_total();
+  d.completed = r.fleet().completed_total();
   d.served = r.served_total();
-  d.churned = r.churn_completed();
-  d.flips = r.phase_flips();
+  d.churned = r.fleet().churn_completed();
+  d.flips = r.fleet().phase_flips();
   d.lat_count = pt.latency.count;
   d.lat_p50 = pt.latency.p50;
   d.lat_p99 = pt.latency.p99;
@@ -180,23 +180,23 @@ TEST(OpenLoopChurn, NeverDoubleClosesAndFleetRecovers) {
   cfg.connections = 1024;
   cfg.churn_per_sec = 50'000;  // ~500 closes over the 10ms point: heavy churn
   OpenLoopRunner r(cfg);
-  ASSERT_TRUE(r.Ramp());
-  r.RunPoint(20'000, 1 * kMillisecond, 10 * kMillisecond);
-  r.StopLoad();
+  ASSERT_TRUE(r.fleet().Ramp());
+  r.fleet().RunPoint(20'000, 1 * kMillisecond, 10 * kMillisecond);
+  r.fleet().StopLoad();
   // Drain in-flight closes and reconnects.
   r.sim().RunUntil(
       [&] {
-        return r.churn_completed() == r.churn_initiated() &&
-               r.established_connections() == cfg.connections;
+        return r.fleet().churn_completed() == r.fleet().churn_initiated() &&
+               r.fleet().established_connections() == cfg.connections;
       },
       r.sim().now() + 5 * kSecond);
 
-  EXPECT_GT(r.churn_initiated(), 100u);
+  EXPECT_GT(r.fleet().churn_initiated(), 100u);
   // Exactly one completed cycle per initiated close — a double Close() on one
   // victim would either crash or leave these counters unequal.
-  EXPECT_EQ(r.churn_completed(), r.churn_initiated());
-  EXPECT_EQ(r.established_connections(), cfg.connections);
-  EXPECT_EQ(r.unexpected_deaths(), 0u);
+  EXPECT_EQ(r.fleet().churn_completed(), r.fleet().churn_initiated());
+  EXPECT_EQ(r.fleet().established_connections(), cfg.connections);
+  EXPECT_EQ(r.fleet().unexpected_deaths(), 0u);
 }
 
 // Intended-send-time accounting, against a hand-computed schedule: with Poisson
@@ -211,19 +211,19 @@ TEST(OpenLoopLatency, IntendedSendTimesMatchHandComputedSchedule) {
   cfg.incast_fanin = 1;
   cfg.incast_period_ns = 500 * kMicrosecond;
   OpenLoopRunner r(cfg);
-  ASSERT_TRUE(r.Ramp());
+  ASSERT_TRUE(r.fleet().Ramp());
 
   std::vector<TimeNs> intents;
   std::vector<TimeNs> completions;
-  r.set_completion_probe([&](TimeNs intended, TimeNs completed) {
+  r.fleet().set_completion_probe([&](TimeNs intended, TimeNs completed) {
     intents.push_back(intended);
     completions.push_back(completed);
   });
   const TimeNs t_start = r.sim().now();
-  r.RunPoint(/*offered_rps=*/0, /*warmup=*/0, /*measure=*/10 * kMillisecond);
-  r.StopLoad();
+  r.fleet().RunPoint(/*offered_rps=*/0, /*warmup=*/0, /*measure=*/10 * kMillisecond);
+  r.fleet().StopLoad();
   // Drain the request issued at the tail of the window.
-  r.sim().RunUntil([&] { return r.completed_total() == r.issued_total(); },
+  r.sim().RunUntil([&] { return r.fleet().completed_total() == r.fleet().issued_total(); },
                    r.sim().now() + 1 * kSecond);
 
   ASSERT_GE(intents.size(), 16u);
@@ -234,7 +234,7 @@ TEST(OpenLoopLatency, IntendedSendTimesMatchHandComputedSchedule) {
         << "request " << k;
     EXPECT_GT(completions[k], intents[k]) << "request " << k;
   }
-  EXPECT_EQ(r.issued_total(), r.completed_total());
+  EXPECT_EQ(r.fleet().issued_total(), r.fleet().completed_total());
 }
 
 // Backlogged requests still measure from their arrival instant: pile requests on
@@ -253,14 +253,14 @@ TEST(OpenLoopLatency, QueueingDelayLandsInTheMeasuredTail) {
   cfg.incast_fanin = 1;
   cfg.incast_period_ns = 50 * kMicrosecond;
   OpenLoopRunner r(cfg);
-  ASSERT_TRUE(r.Ramp());
+  ASSERT_TRUE(r.fleet().Ramp());
 
   std::vector<TimeNs> latencies;
-  r.set_completion_probe([&](TimeNs intended, TimeNs completed) {
+  r.fleet().set_completion_probe([&](TimeNs intended, TimeNs completed) {
     latencies.push_back(completed - intended);
   });
   const SweepPoint pt =
-      r.RunPoint(/*offered_rps=*/0, /*warmup=*/0, /*measure=*/20 * kMillisecond);
+      r.fleet().RunPoint(/*offered_rps=*/0, /*warmup=*/0, /*measure=*/20 * kMillisecond);
   ASSERT_GE(latencies.size(), 32u);
   // Later completions waited longer than early ones — the signature of an
   // open-loop measurement. Per-request latency sawtooths within a server batch
@@ -282,7 +282,7 @@ TEST(OpenLoopValidate, AcceptsConfigsWithinFourTupleCapacity) {
   OpenLoopConfig cfg;  // defaults: 100k connections, capacity 8 * 64 * 2048
   EXPECT_TRUE(OpenLoopRunner::ValidateConfig(cfg).ok());
   cfg.connections = cfg.client_stacks * cfg.server_ports *
-                    OpenLoopRunner::kEphemeralPartition;  // exactly full
+                    ClientFleet::kEphemeralPartition;  // exactly full
   EXPECT_TRUE(OpenLoopRunner::ValidateConfig(cfg).ok());
 }
 
@@ -290,13 +290,19 @@ TEST(OpenLoopValidate, OverCapacityIsTypedWithTheOffendingNumbers) {
   OpenLoopConfig cfg;
   cfg.client_stacks = 2;
   cfg.server_ports = 3;
-  cfg.connections = 2 * 3 * OpenLoopRunner::kEphemeralPartition + 1;
+  cfg.connections = 2 * 3 * ClientFleet::kEphemeralPartition + 1;
   const Status s = OpenLoopRunner::ValidateConfig(cfg);
   EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
   // The message names both the request and the capacity so operators can size
   // the sweep without reading the source.
   EXPECT_NE(s.message().find("12289"), std::string::npos) << s.message();
   EXPECT_NE(s.message().find("12288"), std::string::npos) << s.message();
+  // Client stack s is 10.0.1.(s+1), so a 255th stack has no address left.
+  cfg = OpenLoopConfig{};
+  cfg.client_stacks = 255;
+  const Status stacks = OpenLoopRunner::ValidateConfig(cfg);
+  EXPECT_EQ(stacks.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(stacks.message().find("255"), std::string::npos) << stacks.message();
 }
 
 TEST(OpenLoopValidate, ZeroCountsAreRejected) {

@@ -19,18 +19,18 @@ TEST(SmpSmoke, FourCoreTenThousandConnections) {
   cfg.seed = 5;
   cfg.server_request_cpu_ns = 1000;
   SmpHarness h(cfg);
-  ASSERT_TRUE(h.Ramp());
-  EXPECT_EQ(h.established_connections(), 10'000u);
+  ASSERT_TRUE(h.fleet().Ramp());
+  EXPECT_EQ(h.fleet().established_connections(), 10'000u);
   EXPECT_EQ(h.pool().total_accepted(), 10'000u);
   for (int w = 0; w < 4; ++w) {
-    EXPECT_GT(h.shard_connections(w), 0u) << "shard " << w;
+    EXPECT_GT(h.fleet().shard_connections(w), 0u) << "shard " << w;
   }
-  SweepPoint pt = h.RunPoint(200'000, 10 * kMillisecond, 50 * kMillisecond, "smoke");
+  SweepPoint pt = h.fleet().RunPoint(200'000, 10 * kMillisecond, 50 * kMillisecond, "smoke");
   EXPECT_GT(pt.completed, 5'000u);
   // Quiesce: with load stopped, every in-flight push acks and drains. What must
   // remain pending is exactly one armed pop per connection plus one armed accept
   // per worker — nothing more (no leaked qtokens), nothing less (no dead loops).
-  h.StopLoad();
+  h.fleet().StopLoad();
   h.sim().RunFor(100 * kMillisecond);
   EXPECT_EQ(h.pool().total_pending_ops(), 10'000u + 4u);
 }

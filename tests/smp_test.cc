@@ -130,16 +130,16 @@ SmpHarnessConfig SmallSmp(int workers, std::uint64_t seed = 7) {
 
 TEST(SmpHarness, RssSpreadsFlowsAcrossAllWorkerShards) {
   SmpHarness h(SmallSmp(4));
-  ASSERT_TRUE(h.Ramp());
-  EXPECT_EQ(h.established_connections(), 128u);
+  ASSERT_TRUE(h.fleet().Ramp());
+  EXPECT_EQ(h.fleet().established_connections(), 128u);
   EXPECT_EQ(h.pool().total_accepted(), 128u);
   std::size_t total = 0;
   for (int w = 0; w < 4; ++w) {
-    // The predicted shard (RssForTuple at connect time) matches where the NIC
+    // The predicted shard (RssForFlow at connect time) matches where the NIC
     // actually landed each flow: per-worker accepts equal per-shard predictions.
-    EXPECT_EQ(h.pool().worker(w).accepted(), h.shard_connections(w)) << "worker " << w;
-    EXPECT_GT(h.shard_connections(w), 0u) << "shard " << w << " got no flows";
-    total += h.shard_connections(w);
+    EXPECT_EQ(h.pool().worker(w).accepted(), h.fleet().shard_connections(w)) << "worker " << w;
+    EXPECT_GT(h.fleet().shard_connections(w), 0u) << "shard " << w << " got no flows";
+    total += h.fleet().shard_connections(w);
     // Each queue pair saw real traffic with per-queue DMA accounting.
     EXPECT_GT(h.server_nic().queue_stats(w).rx_frames, 0u);
     EXPECT_GT(h.server_nic().queue_stats(w).tx_frames, 0u);
@@ -152,8 +152,8 @@ TEST(SmpHarness, NoStealingWhenDisabled) {
   cfg.steal = false;
   cfg.shard_skew = 1.5;  // even under skew: disabled means disabled
   SmpHarness h(cfg);
-  ASSERT_TRUE(h.Ramp());
-  SweepPoint pt = h.RunPoint(100'000, 5 * kMillisecond, 20 * kMillisecond, "off");
+  ASSERT_TRUE(h.fleet().Ramp());
+  SweepPoint pt = h.fleet().RunPoint(100'000, 5 * kMillisecond, 20 * kMillisecond, "off");
   EXPECT_GT(pt.completed, 0u);
   EXPECT_EQ(h.pool().total_stolen(), 0u);
   EXPECT_EQ(h.sim().counters().Get(Counter::kCompletionsStolen), 0u);
@@ -165,11 +165,11 @@ TEST(SmpHarness, StealingMovesCompletionsOffTheHotShard) {
   cfg.steal = true;
   cfg.shard_skew = 1.5;
   SmpHarness h(cfg);
-  ASSERT_TRUE(h.Ramp());
+  ASSERT_TRUE(h.fleet().Ramp());
   // Shard 0 carries ~60% of the offered load: 500k aggregate puts it well past
   // one core's 200k capacity while its neighbours have headroom — the imbalance
   // stealing exists to absorb.
-  SweepPoint pt = h.RunPoint(500'000, 5 * kMillisecond, 20 * kMillisecond, "skew");
+  SweepPoint pt = h.fleet().RunPoint(500'000, 5 * kMillisecond, 20 * kMillisecond, "skew");
   EXPECT_GT(pt.completed, 0u);
   EXPECT_GT(h.sim().counters().Get(Counter::kStealAttempts), 0u);
   EXPECT_GT(h.pool().total_stolen(), 0u);
@@ -181,16 +181,16 @@ TEST(SmpHarness, NicDeathLeavesNoHungQToken) {
   SmpHarnessConfig cfg = SmallSmp(4);
   cfg.shard_skew = 1.0;
   SmpHarness h(cfg);
-  ASSERT_TRUE(h.Ramp());
+  ASSERT_TRUE(h.fleet().Ramp());
   FaultInjector faults(&h.sim(), /*seed=*/3);
   h.server_nic().AttachFaultInjector(&faults);
 
   // Load running, thieves active, then the bypass NIC dies mid-flight.
-  h.StopLoad();
-  std::ignore = h.RunPoint(300'000, 2 * kMillisecond, 5 * kMillisecond, "preface");
+  h.fleet().StopLoad();
+  std::ignore = h.fleet().RunPoint(300'000, 2 * kMillisecond, 5 * kMillisecond, "preface");
   faults.ScheduleDeviceFailure(h.server_nic().fault_device(), h.sim().now() + kMillisecond);
   h.sim().RunFor(10 * kMillisecond);
-  h.StopLoad();
+  h.fleet().StopLoad();
   // Let every worker drain its rings, fail its pops, and retire its accept.
   h.sim().RunFor(100 * kMillisecond);
   // The invariant: device death may fail every operation, but it may not strand
@@ -207,9 +207,9 @@ TEST(SmpHarness, BalancedLoadPaysNoStealProbes) {
   SmpHarnessConfig cfg = SmallSmp(4);
   cfg.shard_skew = 1.0;
   SmpHarness h(cfg);
-  ASSERT_TRUE(h.Ramp());
+  ASSERT_TRUE(h.fleet().Ramp());
   // Shard 0 carries ~48% of 150k: ~72k rps against its 200k capacity.
-  SweepPoint pt = h.RunPoint(150'000, 2 * kMillisecond, 10 * kMillisecond, "calm");
+  SweepPoint pt = h.fleet().RunPoint(150'000, 2 * kMillisecond, 10 * kMillisecond, "calm");
   EXPECT_GT(pt.completed, 0u);
   EXPECT_GT(h.pool().total_served(), 0u);
   EXPECT_EQ(h.sim().counters().Get(Counter::kStealAttempts), 0u);
@@ -224,8 +224,8 @@ TEST(SmpHarness, OverloadWordTracksReadyRings) {
   SmpHarnessConfig cfg = SmallSmp(4);
   cfg.shard_skew = 1.5;
   SmpHarness h(cfg);
-  ASSERT_TRUE(h.Ramp());
-  std::ignore = h.RunPoint(500'000, kMillisecond, kMillisecond, "skew");
+  ASSERT_TRUE(h.fleet().Ramp());
+  std::ignore = h.fleet().RunPoint(500'000, kMillisecond, kMillisecond, "skew");
   const std::size_t threshold = h.pool().config().steal_threshold;
   std::uint64_t steps_with_bits = 0;
   for (int step = 0; step < 20'000; ++step) {
@@ -241,7 +241,7 @@ TEST(SmpHarness, OverloadWordTracksReadyRings) {
   EXPECT_GT(steps_with_bits, 0u) << "the hot shard never published overload";
   EXPECT_GT(h.pool().total_stolen(), 0u);
 
-  h.StopLoad();
+  h.fleet().StopLoad();
   h.sim().RunFor(100 * kMillisecond);
   EXPECT_EQ(h.pool().overload_word(), 0u);
   // Drained: only the standing pop per connection and accept per worker remain.
@@ -267,11 +267,11 @@ SmpDigest RunDigest(int workers, std::uint64_t seed) {
   cfg.client_stacks = 2;
   cfg.shard_skew = 1.0;
   SmpHarness h(cfg);
-  EXPECT_TRUE(h.Ramp());
-  std::ignore = h.RunPoint(150'000, 2 * kMillisecond, 10 * kMillisecond, "det");
+  EXPECT_TRUE(h.fleet().Ramp());
+  std::ignore = h.fleet().RunPoint(150'000, 2 * kMillisecond, 10 * kMillisecond, "det");
   return SmpDigest{h.sim().now(),
-                   h.issued_total(),
-                   h.completed_total(),
+                   h.fleet().issued_total(),
+                   h.fleet().completed_total(),
                    h.pool().total_served(),
                    h.pool().total_stolen(),
                    h.sim().counters().Get(Counter::kWakeups),

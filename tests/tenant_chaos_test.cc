@@ -45,17 +45,17 @@ struct ArmResult {
 ArmResult RunArm(bool isolation_on, bool hostile_active,
                  std::size_t connections = kConnections) {
   OpenLoopRunner runner(ChaosConfig(isolation_on, connections));
-  EXPECT_TRUE(runner.Ramp());
+  EXPECT_TRUE(runner.fleet().Ramp());
   // Ramp() tolerates unexpected deaths; the chaos arms must not.
-  EXPECT_EQ(runner.established_connections(), connections);
+  EXPECT_EQ(runner.fleet().established_connections(), connections);
   if (hostile_active) {
     runner.hostile()->Start();
   }
-  const SweepPoint pt = runner.RunPoint(kRate, kWarmup, kMeasure);
+  const SweepPoint pt = runner.fleet().RunPoint(kRate, kWarmup, kMeasure);
   runner.hostile()->Stop();
   // Let the shared DMA engine drain its backlog so per-tenant accounting is
   // conserved at snapshot time (nothing in flight).
-  runner.StopLoad();
+  runner.fleet().StopLoad();
   runner.sim().RunFor(5 * kMillisecond);
 
   ArmResult out;
@@ -115,7 +115,7 @@ TEST(TenantChaosTest, VictimNeverTripsCapabilityChecksAndFramesConserve) {
 
 TEST(TenantChaosTest, FaultInjectorDrivesHostileBurstPhases) {
   OpenLoopRunner runner(ChaosConfig(/*isolation_on=*/true, /*connections=*/2'000));
-  ASSERT_TRUE(runner.Ramp());
+  ASSERT_TRUE(runner.fleet().Ramp());
 
   FaultInjector faults(&runner.sim(), /*seed=*/7);
   const FaultDeviceId dev = runner.hostile()->AttachFaultInjector(&faults, "hostile");
