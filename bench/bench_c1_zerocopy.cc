@@ -26,13 +26,18 @@ int Run() {
              "cpu/req", "p50 rtt", "ns/req", "cpu/req", "p50 rtt", "copies", "vs app");
   bench::Row("--------------------------------------------------------------------------------------------\n");
 
+  bench::Record& rec = bench::Begin("bench_c1_zerocopy", FabricConfig{}.seed);
+  constexpr std::uint64_t kRequestsPerClient = 1500;
+  constexpr std::size_t kNumKeys = 500;
+  rec.config.Add("requests_per_client", kRequestsPerClient).Add("num_keys", kNumKeys);
+  bench::Json rows = bench::Json::Array();
   bool shape_ok = true;
   double copy_tax_4k = 0;
   for (const std::size_t value_bytes : {64u, 512u, 1024u, 4096u, 16384u}) {
     bench::KvRunOptions opt;
     opt.cost = cost;
-    opt.requests_per_client = 1500;
-    opt.workload.num_keys = 500;
+    opt.requests_per_client = kRequestsPerClient;
+    opt.workload.num_keys = kNumKeys;
     opt.workload.get_ratio = 1.0;  // pure GET: reply carries the value
     opt.workload.value_bytes = value_bytes;
 
@@ -49,17 +54,24 @@ int Run() {
     const double catnip_cpu =
         static_cast<double>(catnip.server_cpu_ns) / static_cast<double>(catnip.completed);
     const double copy_tax = copy_ns / static_cast<double>(cost.kv_request_cpu_ns);
+    const std::uint64_t catnip_copied = catnip.server_counters.Get(Counter::kBytesCopied);
 
     bench::Row("%-8zu | %7.0f ns %9llu ns %9.0f ns | %7.0f ns %9llu ns %10llu | %8.0f%%\n",
                value_bytes, posix_cpu,
                static_cast<unsigned long long>(posix.latency.P50()), copy_ns, catnip_cpu,
                static_cast<unsigned long long>(catnip.latency.P50()),
-               static_cast<unsigned long long>(
-                   catnip.server_counters.Get(Counter::kBytesCopied)),
-               copy_tax * 100.0);
+               static_cast<unsigned long long>(catnip_copied), copy_tax * 100.0);
+    rows.Push(bench::Json::Object()
+                  .Add("value_bytes", value_bytes)
+                  .Add("posix_cpu_ns_per_req", bench::Fixed(posix_cpu, 0))
+                  .Add("posix_p50_ns", posix.latency.P50())
+                  .Add("posix_copy_ns_per_req", bench::Fixed(copy_ns, 0))
+                  .Add("catnip_cpu_ns_per_req", bench::Fixed(catnip_cpu, 0))
+                  .Add("catnip_p50_ns", catnip.latency.P50())
+                  .Add("catnip_bytes_copied", catnip_copied)
+                  .Add("copy_tax_pct", bench::Fixed(copy_tax * 100.0, 0)));
 
-    shape_ok = shape_ok && posix.ok && catnip.ok &&
-               catnip.server_counters.Get(Counter::kBytesCopied) == 0 &&
+    shape_ok = shape_ok && posix.ok && catnip.ok && catnip_copied == 0 &&
                posix_cpu > catnip_cpu;
     if (value_bytes == 4096) {
       copy_tax_4k = copy_tax;
@@ -72,11 +84,13 @@ int Run() {
   std::printf("(POSIX pays the copy twice per GET — request in, 4KB reply out — so "
               "the end-to-end overhead exceeds the single-copy figure.)\n");
 
+  rec.sim.Add("rows", rows).Add("copy_tax_4k_pct", bench::Fixed(copy_tax_4k * 100.0, 0));
+
   // The per-GET reply copy alone should be ~45-60% of the app's 2us.
   shape_ok = shape_ok && copy_tax_4k > 0.45;
   bench::Verdict(shape_ok, "catnip copies zero bytes at every size; POSIX copy cost "
                            "grows linearly and reaches ~50%+ of app time at 4KB");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

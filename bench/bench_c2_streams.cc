@@ -30,17 +30,25 @@ int Run() {
              "pkts/op");
   bench::Row("-------------------------------------------------------------------------------------------------------------\n");
 
+  constexpr std::uint64_t kRequestsPerClient = 400;
+  constexpr std::size_t kValueBytes = 512;
+  constexpr TimeNs kFragmentGap = 15 * kMicrosecond;
+  bench::Record& rec = bench::Begin("bench_c2_streams", FabricConfig{}.seed);
+  rec.config.Add("requests_per_client", kRequestsPerClient)
+      .Add("value_bytes", kValueBytes)
+      .Add("fragment_gap_ns", kFragmentGap);
+  bench::Json rows = bench::Json::Array();
   bool shape_ok = true;
   std::uint64_t posix_scans_at_8 = 0;
   for (const int fragments : {1, 2, 4, 8}) {
     bench::KvRunOptions opt;
     opt.cost = cost;
-    opt.requests_per_client = 400;
+    opt.requests_per_client = kRequestsPerClient;
     opt.workload.num_keys = 200;
     opt.workload.get_ratio = 0.0;   // SETs with a payload worth fragmenting
-    opt.workload.value_bytes = 512;
+    opt.workload.value_bytes = kValueBytes;
     opt.client_fragments = fragments;
-    opt.fragment_gap_ns = 15 * kMicrosecond;
+    opt.fragment_gap_ns = kFragmentGap;
 
     opt.kind = "posix";
     auto posix = bench::RunKv(opt);
@@ -66,20 +74,30 @@ int Run() {
         static_cast<double>(demi.server_counters.Get(Counter::kPacketsTx) +
                             demi.server_counters.Get(Counter::kPacketsRx)) /
         ops;
+    const std::uint64_t demi_scans = demi.server_counters.Get(Counter::kStreamScans);
     bench::Row("%-10d | %12llu %11.0f ns %11llu ns | %12llu %11llu ns | %-10.2f %-10.2f\n",
                fragments, static_cast<unsigned long long>(posix.incomplete_scans),
                wasted_ns, static_cast<unsigned long long>(posix.latency.P50()),
-               static_cast<unsigned long long>(
-                   demi.server_counters.Get(Counter::kStreamScans)),
+               static_cast<unsigned long long>(demi_scans),
                static_cast<unsigned long long>(demi.latency.P50()), demi_doorbells,
                demi_packets);
+    rows.Push(bench::Json::Object()
+                  .Add("fragments", fragments)
+                  .Add("posix_partial_scans", posix.incomplete_scans)
+                  .Add("posix_wasted_cpu_ns_per_req", bench::Fixed(wasted_ns, 0))
+                  .Add("posix_p50_ns", posix.latency.P50())
+                  .Add("demi_partial_scans", demi_scans)
+                  .Add("demi_p50_ns", demi.latency.P50())
+                  .Add("demi_doorbells_per_op", bench::Fixed(demi_doorbells, 2))
+                  .Add("demi_packets_per_op", bench::Fixed(demi_packets, 2)));
 
-    shape_ok = shape_ok && posix.ok && demi.ok &&
-               demi.server_counters.Get(Counter::kStreamScans) == 0;
+    shape_ok = shape_ok && posix.ok && demi.ok && demi_scans == 0;
     if (fragments == 8) {
       posix_scans_at_8 = posix.incomplete_scans;
     }
   }
+
+  rec.sim.Add("rows", rows);
 
   std::printf("\nevery POSIX partial scan is a wakeup + syscall + inspection that "
               "produced nothing;\nthe Demikernel server is woken once per COMPLETE "
@@ -87,7 +105,7 @@ int Run() {
   bench::Verdict(shape_ok && posix_scans_at_8 > 0,
                  "wasted scans grow with fragmentation on the stream path and are "
                  "identically zero on the queue path");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

@@ -113,6 +113,8 @@ int Run() {
              "per event", "wakeups", "wasted", "per event");
   bench::Row("---------------------------------------------------------------------------------\n");
 
+  bench::Record& rec = bench::Begin("bench_c3_wakeups", FabricConfig{}.seed);
+  bench::Json rows = bench::Json::Array();
   bool shape_ok = true;
   for (const int waiters : {1, 2, 4, 8, 16}) {
     const HerdResult posix = RunPosixHerd(waiters);
@@ -124,16 +126,26 @@ int Run() {
                static_cast<unsigned long long>(demi.wakeups),
                static_cast<unsigned long long>(demi.spurious),
                static_cast<unsigned long long>(demi.syscalls_per_event));
+    rows.Push(bench::Json::Object()
+                  .Add("waiters", waiters)
+                  .Add("epoll_wakeups", posix.wakeups)
+                  .Add("epoll_wasted", posix.spurious)
+                  .Add("epoll_syscalls_per_event", posix.syscalls_per_event)
+                  .Add("wait_any_wakeups", demi.wakeups)
+                  .Add("wait_any_wasted", demi.spurious)
+                  .Add("wait_any_syscalls_per_event", demi.syscalls_per_event));
     shape_ok = shape_ok && posix.wakeups == static_cast<std::uint64_t>(waiters) &&
                posix.spurious == static_cast<std::uint64_t>(waiters - 1) &&
                demi.wakeups == 1 && demi.spurious == 0 && demi.syscalls_per_event == 0;
   }
 
+  rec.sim.Add("rows", rows);
+
   std::printf("\nepoll's cost per event grows with the waiter count; wait_any's is "
               "constant: one wakeup, zero syscalls, data included.\n");
   bench::Verdict(shape_ok, "herd wakeups = waiters (all but one wasted) under epoll; "
                            "exactly one under wait_any, with the data returned in-line");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 namespace demi {
 namespace {
 
+using bench::Json;
+
 struct StorageResult {
   double ns_per_append = 0;
   double appends_per_sec = 0;
@@ -24,6 +26,16 @@ struct StorageResult {
 };
 
 constexpr int kRecords = 300;
+
+Json AppendJson(const StorageResult& r) {
+  return Json::Object()
+      .Add("us_per_op", bench::Fixed(r.ns_per_append / 1000.0, 1))
+      .Add("ops_per_sec", bench::Fixed(r.appends_per_sec, 0))
+      .Add("syscalls_per_op", bench::Fixed(static_cast<double>(r.syscalls) / kRecords, 1))
+      .Add("bytes_copied_per_op",
+           bench::Fixed(static_cast<double>(r.bytes_copied) / kRecords, 0))
+      .Add("nvme_per_op", bench::Fixed(static_cast<double>(r.nvme_ops) / kRecords, 1));
+}
 
 StorageResult RunKernelLog(std::size_t record_bytes) {
   TestHarness env;
@@ -120,6 +132,15 @@ constexpr int kLookups = 200;
 constexpr std::size_t kIndexKeys = 512;
 constexpr std::size_t kIndexFanout = 4;  // small fanout forces a deep tree
 
+Json LookupJson(const IndexResult& r) {
+  return Json::Object()
+      .Add("depth", r.depth)
+      .Add("us_per_op", bench::Fixed(r.us_per_lookup, 2))
+      .Add("completions_per_op", bench::Fixed(r.completions_per_op, 2))
+      .Add("doorbells_per_op", bench::Fixed(r.doorbells_per_op, 2))
+      .Add("nvme_per_op", bench::Fixed(r.nvme_per_op, 2));
+}
+
 IndexResult RunIndexLookups(bool pushdown) {
   TestHarness env;
   HostOptions opts;
@@ -194,12 +215,18 @@ int Run() {
              "ops/s", "sys/op", "copyB/op", "nvme/op");
   bench::Row("----------------------------------------------------------------------------------------------------------------\n");
 
+  bench::Record& rec = bench::Begin("bench_e3_storage", FabricConfig{}.seed);
+  rec.config.Add("records", kRecords)
+      .Add("lookups", kLookups)
+      .Add("index_keys", kIndexKeys)
+      .Add("index_fanout", kIndexFanout);
+  Json appends = Json::Array();
   bool shape_ok = true;
   double ratio_small = 0;
   std::string metrics_json;
   for (const std::size_t record_bytes : {128u, 1024u, 4096u, 16384u}) {
     const StorageResult kernel = RunKernelLog(record_bytes);
-    // Export the observability snapshot from the 4KB run (one representative size).
+    // Record the observability snapshot of the 4KB run (one representative size).
     const StorageResult catfish =
         RunCatfishLog(record_bytes, record_bytes == 4096 ? &metrics_json : nullptr);
     bench::Row("%-8zu | %10.1f %12.0f %8.1f %10.0f %8.1f | %10.1f %12.0f %8.1f %10.0f %8.1f\n",
@@ -211,6 +238,10 @@ int Run() {
                static_cast<double>(catfish.syscalls) / kRecords,
                static_cast<double>(catfish.bytes_copied) / kRecords,
                static_cast<double>(catfish.nvme_ops) / kRecords);
+    appends.Push(Json::Object()
+                     .Add("record_bytes", record_bytes)
+                     .Add("kernel", AppendJson(kernel))
+                     .Add("catfish", AppendJson(catfish)));
     shape_ok = shape_ok && kernel.ok && catfish.ok && catfish.syscalls == 0 &&
                catfish.bytes_copied == 0 &&
                catfish.ns_per_append < kernel.ns_per_append;
@@ -250,23 +281,12 @@ int Run() {
               host_path.completions_per_op, push_path.completions_per_op,
               host_path.depth);
 
-  if (!metrics_json.empty()) {
-    char pushdown_json[512];
-    std::snprintf(pushdown_json, sizeof(pushdown_json),
-                  "{\"depth\": %u, \"lookups\": %d, "
-                  "\"host\": {\"us_per_op\": %.2f, \"completions_per_op\": %.2f, "
-                  "\"doorbells_per_op\": %.2f, \"nvme_per_op\": %.2f}, "
-                  "\"pushdown\": {\"us_per_op\": %.2f, \"completions_per_op\": %.2f, "
-                  "\"doorbells_per_op\": %.2f, \"nvme_per_op\": %.2f}}",
-                  host_path.depth, kLookups, host_path.us_per_lookup,
-                  host_path.completions_per_op, host_path.doorbells_per_op,
-                  host_path.nvme_per_op, push_path.us_per_lookup,
-                  push_path.completions_per_op, push_path.doorbells_per_op,
-                  push_path.nvme_per_op);
-    bench::WriteMetricsFile("bench_e3_storage",
-                            "{\"catfish\":" + metrics_json +
-                                ",\"pushdown\":" + pushdown_json + "}");
-  }
+  rec.sim.Add("appends", appends)
+      .Add("index", Json::Object()
+                        .Add("host", LookupJson(host_path))
+                        .Add("pushdown", LookupJson(push_path)))
+      .Add("small_record_speedup", bench::Fixed(ratio_small, 2))
+      .Add("metrics", bench::Raw(metrics_json));
 
   std::printf("\nsmall-record appends: catfish is %.2fx faster — the device write "
               "dominates both, but the kernel\nadds write+fsync syscalls, a page-cache "
@@ -274,7 +294,7 @@ int Run() {
   bench::Verdict(shape_ok, "catfish persists with zero syscalls/copies and lower "
                            "latency at every record size; push-down completes a "
                            "depth-d index lookup in one host completion");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

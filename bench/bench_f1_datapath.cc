@@ -12,6 +12,8 @@
 namespace demi {
 namespace {
 
+using bench::Json;
+
 struct Breakdown {
   double syscall_ns = 0;
   double copy_ns = 0;
@@ -43,6 +45,17 @@ Breakdown Analyze(const bench::EchoRun& run, const CostModel& cost, bool kernel_
   return b;
 }
 
+Json BreakdownJson(const Breakdown& b) {
+  return Json::Object()
+      .Add("syscall_ns", bench::Fixed(b.syscall_ns, 0))
+      .Add("copy_ns", bench::Fixed(b.copy_ns, 0))
+      .Add("stack_ns", bench::Fixed(b.stack_ns, 0))
+      .Add("irq_ns", bench::Fixed(b.irq_ns, 0))
+      .Add("app_other_ns", bench::Fixed(b.app_other_ns, 0))
+      .Add("total_ns", bench::Fixed(b.total_ns, 0))
+      .Add("rtt_p50_ns", bench::Fixed(b.rtt_p50, 0));
+}
+
 int Run() {
   bench::Header("F1", "traditional vs kernel-bypass data path (Figure 1)",
                 "kernel-bypass removes the OS kernel from the I/O path; the remaining "
@@ -52,6 +65,8 @@ int Run() {
 
   constexpr std::uint64_t kRequests = 2000;
   constexpr std::size_t kMsg = 64;
+  bench::Record& rec = bench::Begin("bench_f1_datapath", FabricConfig{}.seed);
+  rec.config.Add("requests", kRequests).Add("msg_bytes", kMsg);
   auto posix = bench::RunEcho("posix", kMsg, kRequests, cost);
   auto catnip = bench::RunEcho("catnip", kMsg, kRequests, cost);
 
@@ -72,16 +87,22 @@ int Run() {
 
   const double cpu_ratio = bp.total_ns / bc.total_ns;
   const double rtt_ratio = bp.rtt_p50 / bc.rtt_p50;
+  const double bypass_kernel_ns = bc.syscall_ns + bc.copy_ns + bc.irq_ns;
   std::printf("\nkernel-bypass advantage: %.2fx less server CPU, %.2fx lower RTT\n",
               cpu_ratio, rtt_ratio);
   std::printf("kernel components (syscall+copy+irq) on the bypass path: %.0f ns\n",
-              bc.syscall_ns + bc.copy_ns + bc.irq_ns);
+              bypass_kernel_ns);
+  rec.sim.Add("traditional", BreakdownJson(bp))
+      .Add("kernel_bypass", BreakdownJson(bc))
+      .Add("cpu_ratio", bench::Fixed(cpu_ratio, 2))
+      .Add("rtt_ratio", bench::Fixed(rtt_ratio, 2))
+      .Add("bypass_kernel_ns", bench::Fixed(bypass_kernel_ns, 0));
 
   bench::Verdict(posix.ok && catnip.ok && cpu_ratio > 1.5 && rtt_ratio > 1.2 &&
-                     bc.syscall_ns + bc.copy_ns + bc.irq_ns < 50.0,
+                     bypass_kernel_ns < 50.0,
                  "the kernel vanishes from the bypass data path and both CPU and RTT "
                  "drop substantially");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

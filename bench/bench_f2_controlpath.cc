@@ -15,9 +15,6 @@
 //
 // Environment:
 //   BENCH_SMOKE=1      shorter arms (ctest smoke).
-//   BENCH_METRICS_DIR  where to drop bench_f2_controlpath.metrics.json (the
-//                      run_benches.sh harness assembles BENCH_controlpath.json
-//                      from it).
 
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +29,8 @@
 
 namespace demi {
 namespace {
+
+using bench::Json;
 
 // --- part 2: control-op pricing, full crossing vs fastcall -----------------------
 
@@ -122,61 +121,30 @@ AdaptiveHarnessConfig ScenarioConfig(bool adaptive, bool smoke) {
   return cfg;
 }
 
-std::string Json(const ControlArm arms[4], int conns, const AdaptiveScenarioResult& st,
-                 const AdaptiveScenarioResult& ad, const CostModel& cost, bool ok) {
-  char buf[512];
-  std::string j = "{\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"crossing_ns\": {\"syscall\": %lld, \"fastcall\": %lld},\n",
-                static_cast<long long>(cost.syscall_ns),
-                static_cast<long long>(cost.fastcall_crossing_ns));
-  j += buf;
-  static const char* kArmNames[4] = {"full_accept", "full_batch", "fastcall_accept",
-                                     "fastcall_batch"};
-  std::snprintf(buf, sizeof(buf), "  \"control_ops\": {\"conns\": %d", conns);
-  j += buf;
-  for (int i = 0; i < 4; ++i) {
-    const ControlArm& a = arms[i];
-    std::snprintf(buf, sizeof(buf),
-                  ",\n    \"%s\": {\"connect_cpu_ns_per_op\": %.1f, "
-                  "\"drain_cpu_ns\": %.0f, \"drain_syscalls\": %llu, "
-                  "\"drain_fastcalls\": %llu, \"accepted\": %llu}",
-                  kArmNames[i], a.connect_cpu_per_op, a.drain_cpu,
-                  static_cast<unsigned long long>(a.drain_syscalls),
-                  static_cast<unsigned long long>(a.drain_fastcalls),
-                  static_cast<unsigned long long>(a.accepted));
-    j += buf;
-  }
-  j += "},\n  \"adaptive_scenario\": {";
-  const auto emit_arm = [&](const char* label, const AdaptiveScenarioResult& r,
-                            const char* sep) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s\n    \"%s\": {\"hot_p50_ns\": %llu, \"hot_p99_ns\": %llu, "
-        "\"cold_p50_ns\": %llu, \"hot_completed\": %llu, \"cold_completed\": %llu, "
-        "\"churn_conns_per_sec\": %.0f, \"promotions\": %llu, \"demotions\": %llu, "
-        "\"syscalls\": %llu, \"fastcall_crossings\": %llu, \"accepts_batched\": %llu, "
-        "\"live_flow_slots\": %llu, \"flow_slots_released\": %llu}",
-        sep, label, static_cast<unsigned long long>(r.hot_p50_ns),
-        static_cast<unsigned long long>(r.hot_p99_ns),
-        static_cast<unsigned long long>(r.cold_p50_ns),
-        static_cast<unsigned long long>(r.hot_completed),
-        static_cast<unsigned long long>(r.cold_completed), r.churn_conns_per_sec,
-        static_cast<unsigned long long>(r.promotions),
-        static_cast<unsigned long long>(r.demotions),
-        static_cast<unsigned long long>(r.syscalls),
-        static_cast<unsigned long long>(r.fastcall_crossings),
-        static_cast<unsigned long long>(r.accepts_batched),
-        static_cast<unsigned long long>(r.live_flow_slots),
-        static_cast<unsigned long long>(r.flow_slots_released));
-    j += buf;
-  };
-  emit_arm("policy_off", st, "");
-  emit_arm("policy_on", ad, ",");
-  std::snprintf(buf, sizeof(buf), "\n  },\n  \"verdict\": \"%s\"\n}\n",
-                ok ? "SHAPE-OK" : "SHAPE-FAIL");
-  j += buf;
-  return j;
+Json ControlArmJson(const ControlArm& a) {
+  return Json::Object()
+      .Add("connect_cpu_ns_per_op", bench::Fixed(a.connect_cpu_per_op, 1))
+      .Add("drain_cpu_ns", bench::Fixed(a.drain_cpu, 0))
+      .Add("drain_syscalls", a.drain_syscalls)
+      .Add("drain_fastcalls", a.drain_fastcalls)
+      .Add("accepted", a.accepted);
+}
+
+Json ScenarioJson(const AdaptiveScenarioResult& r) {
+  return Json::Object()
+      .Add("hot_p50_ns", r.hot_p50_ns)
+      .Add("hot_p99_ns", r.hot_p99_ns)
+      .Add("cold_p50_ns", r.cold_p50_ns)
+      .Add("hot_completed", r.hot_completed)
+      .Add("cold_completed", r.cold_completed)
+      .Add("churn_conns_per_sec", bench::Fixed(r.churn_conns_per_sec, 0))
+      .Add("promotions", r.promotions)
+      .Add("demotions", r.demotions)
+      .Add("syscalls", r.syscalls)
+      .Add("fastcall_crossings", r.fastcall_crossings)
+      .Add("accepts_batched", r.accepts_batched)
+      .Add("live_flow_slots", r.live_flow_slots)
+      .Add("flow_slots_released", r.flow_slots_released);
 }
 
 int Run() {
@@ -192,6 +160,8 @@ int Run() {
                 "path placement keep it cheap");
   CostModel cost;
   bench::PrintCostModel(cost);
+  bench::Record& rec =
+      bench::Begin("bench_f2_controlpath", ScenarioConfig(false, smoke).seed);
 
   TestHarness env(cost);
   auto& sh = env.AddHost("server", "10.0.0.1");
@@ -239,10 +209,22 @@ int Run() {
                                 (static_cast<double>(data_elapsed) / kSteadyOps);
   std::printf("\nsetup cost equals ~%.0f steady-state I/Os; after that the kernel is "
               "idle on this host.\n\n", amortized_over);
+  rec.sim.Add("phases", Json::Object()
+                            .Add("setup_us", bench::Fixed(ToMicros(setup_elapsed), 1))
+                            .Add("setup_syscalls", setup_syscalls)
+                            .Add("data_us", bench::Fixed(ToMicros(data_elapsed), 1))
+                            .Add("data_syscalls", data_syscalls)
+                            .Add("per_io_cpu_us", bench::Fixed(per_io_cpu / 1000.0, 3))
+                            .Add("setup_in_ios", bench::Fixed(amortized_over, 0)));
 
   // --- part 2: control-op pricing (full syscall vs fastcall, accept vs batch) ---
   const int kConns = smoke ? 8 : 32;
-  // Arm order matches kArmNames in Json(): {fastcall?} x {batch?}.
+  rec.config.Add("steady_ops", kSteadyOps)
+      .Add("control_conns", kConns)
+      .Add("syscall_ns", cost.syscall_ns)
+      .Add("fastcall_crossing_ns", cost.fastcall_crossing_ns)
+      .Add("smoke", smoke);
+  // Arm order matches kArmKeys and kRowNames: {fastcall?} x {batch?}.
   ControlArm arms[4];
   arms[0] = RunControlArm(/*fastcall=*/false, /*batch=*/false, kConns);
   arms[1] = RunControlArm(/*fastcall=*/false, /*batch=*/true, kConns);
@@ -253,12 +235,17 @@ int Run() {
              "connect ns/op", "drain CPU ns", "syscalls", "fastcalls");
   static const char* kRowNames[4] = {"full crossing, accept xN", "full crossing, batch",
                                      "fastcall, accept xN", "fastcall, batch"};
+  static const char* kArmKeys[4] = {"full_accept", "full_batch", "fastcall_accept",
+                                    "fastcall_batch"};
+  Json control_ops = Json::Object();
   for (int i = 0; i < 4; ++i) {
     bench::Row("%-26s %14.1f | %12.0f %10llu %10llu\n", kRowNames[i],
                arms[i].connect_cpu_per_op, arms[i].drain_cpu,
                static_cast<unsigned long long>(arms[i].drain_syscalls),
                static_cast<unsigned long long>(arms[i].drain_fastcalls));
+    control_ops.Add(kArmKeys[i], ControlArmJson(arms[i]));
   }
+  rec.sim.Add("control_ops", control_ops);
   std::printf("(%d connections per arm; a batch drain is ONE crossing total)\n\n",
               kConns);
 
@@ -274,6 +261,9 @@ int Run() {
     on_arm = h.Run();
   }
 
+  rec.sim.Add("adaptive_scenario", Json::Object()
+                                       .Add("policy_off", ScenarioJson(off_arm))
+                                       .Add("policy_on", ScenarioJson(on_arm)));
   bench::Row("%-30s %14s %14s\n", "adaptive scenario", "policy off", "policy on");
   bench::Row("%-30s %14llu %14llu\n", "hot flow RTT p50 (ns)",
              static_cast<unsigned long long>(off_arm.hot_p50_ns),
@@ -324,16 +314,13 @@ int Run() {
       on_arm.hot_p50_ns <=
       off_arm.hot_p50_ns + off_arm.hot_p50_ns / 4;
 
-  const bool ok = phase_split_ok && fastcall_cheaper && batch_is_one_crossing &&
-                  adaptive_releases_capacity && hot_latency_kept;
-  bench::WriteMetricsFile("bench_f2_controlpath",
-                          Json(arms, kConns, off_arm, on_arm, cost, ok));
-  bench::Verdict(ok,
+  bench::Verdict(phase_split_ok && fastcall_cheaper && batch_is_one_crossing &&
+                     adaptive_releases_capacity && hot_latency_kept,
                  "kernel syscalls appear ONLY in the control path; fastcall pricing "
                  "beats full crossings on every control op; AcceptBatch drains a "
                  "storm in one crossing; the path policy returns cold flows' bypass "
                  "slots while hot flows keep bypass latency");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

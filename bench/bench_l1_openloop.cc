@@ -12,9 +12,6 @@
 // Environment:
 //   BENCH_SMOKE=1         10^4 connections and fewer sweep points (ctest smoke);
 //                         default is the full 10^6-connection sweep.
-//   BENCH_OPENLOOP_OUT    where to write the sweep json (default: skip the file;
-//                         the bench always drops a metrics snapshot via
-//                         BENCH_METRICS_DIR like the other benches).
 
 #include <chrono>
 #include <cstdio>
@@ -35,42 +32,6 @@ double WallNs() {
                                  .count());
 }
 
-struct SweepRow {
-  SweepPoint pt;
-};
-
-std::string Json(const std::vector<SweepRow>& sweep, const OpenLoopConfig& cfg,
-                 bool ramp_ok) {
-  char buf[512];
-  std::string j = "{\n  \"config\": {";
-  std::snprintf(buf, sizeof(buf),
-                "\"connections\": %zu, \"client_stacks\": %zu, \"server_ports\": %zu, "
-                "\"server_work_ns\": %llu, \"seed\": %llu, \"ramp_ok\": %s",
-                cfg.connections, cfg.client_stacks, cfg.server_ports,
-                static_cast<unsigned long long>(cfg.server_work_per_request_ns),
-                static_cast<unsigned long long>(cfg.seed), ramp_ok ? "true" : "false");
-  j += buf;
-  j += "},\n  \"sweep\": [";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i].pt;
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s\n    {\"offered_rps\": %.0f, \"achieved_rps\": %.0f, \"issued\": %llu, "
-        "\"completed\": %llu, \"latency_ns\": {\"p50\": %llu, \"p99\": %llu, "
-        "\"p999\": %llu, \"mean\": %.0f, \"max\": %llu}}",
-        i ? "," : "", p.offered_rps, p.achieved_rps,
-        static_cast<unsigned long long>(p.issued),
-        static_cast<unsigned long long>(p.completed),
-        static_cast<unsigned long long>(p.latency.p50),
-        static_cast<unsigned long long>(p.latency.p99),
-        static_cast<unsigned long long>(p.latency.p999), p.latency.mean,
-        static_cast<unsigned long long>(p.latency.max));
-    j += buf;
-  }
-  j += "\n  ]\n}\n";
-  return j;
-}
-
 int Run() {
   const bool smoke = []() {
     const char* s = std::getenv("BENCH_SMOKE");
@@ -88,6 +49,7 @@ int Run() {
   cfg.server_work_per_request_ns = 500;
   cfg.workload.request_bytes = 64;
   cfg.seed = 1;
+  bench::Record& rec = bench::Begin("bench_l1_openloop", cfg.seed);
 
   // Rates bracket the server's service capacity (~500ns app work + per-packet
   // stack costs put the knee in the high hundreds of krps); the last point is
@@ -98,6 +60,13 @@ int Run() {
                                   1'600'000};
   const TimeNs warmup = smoke ? 5 * kMillisecond : 20 * kMillisecond;
   const TimeNs measure = smoke ? 20 * kMillisecond : 50 * kMillisecond;
+  rec.config.Add("connections", cfg.connections)
+      .Add("client_stacks", cfg.client_stacks)
+      .Add("server_ports", cfg.server_ports)
+      .Add("server_work_ns", cfg.server_work_per_request_ns)
+      .Add("warmup_ns", warmup)
+      .Add("measure_ns", measure)
+      .Add("smoke", smoke);
 
   std::printf("\nramping %zu connections over %zu client stacks x %zu server ports "
               "(batch %zu)...\n",
@@ -109,8 +78,12 @@ int Run() {
               ramp_ok ? "ok" : "FAILED", runner.fleet().established_connections(),
               static_cast<unsigned long long>(runner.accepted_connections()),
               (WallNs() - ramp_t0) / 1e9);
+  rec.sim.Add("ramp_ok", ramp_ok)
+      .Add("established", runner.fleet().established_connections())
+      .Add("accepted", runner.accepted_connections());
 
-  std::vector<SweepRow> sweep;
+  std::vector<SweepPoint> sweep;
+  bench::Json sweep_json = bench::Json::Array();
   bench::Row("%14s %14s %10s %10s %10s %10s %10s\n", "offered rps", "achieved rps",
              "p50 us", "p99 us", "p99.9 us", "max us", "completed");
   bench::Row("-----------------------------------------------------------------"
@@ -123,26 +96,28 @@ int Run() {
                static_cast<double>(pt.latency.p999) / 1e3,
                static_cast<double>(pt.latency.max) / 1e3,
                static_cast<unsigned long long>(pt.completed));
-    sweep.push_back(SweepRow{pt});
+    sweep_json.Push(bench::Json::Object()
+                        .Add("offered_rps", bench::Fixed(pt.offered_rps, 0))
+                        .Add("achieved_rps", bench::Fixed(pt.achieved_rps, 0))
+                        .Add("issued", pt.issued)
+                        .Add("completed", pt.completed)
+                        .Add("latency_ns", bench::Json::Object()
+                                               .Add("p50", pt.latency.p50)
+                                               .Add("p99", pt.latency.p99)
+                                               .Add("p999", pt.latency.p999)
+                                               .Add("mean", bench::Fixed(pt.latency.mean, 0))
+                                               .Add("max", pt.latency.max)));
+    sweep.push_back(pt);
   }
   runner.fleet().StopLoad();
-
-  const std::string json = Json(sweep, cfg, ramp_ok);
-  bench::WriteMetricsFile("bench_l1_openloop", json);
-  if (const char* out = std::getenv("BENCH_OPENLOOP_OUT")) {
-    if (std::FILE* f = std::fopen(out, "w")) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("\nwrote sweep to %s\n", out);
-    }
-  }
+  rec.sim.Add("sweep", sweep_json);
 
   // Shape checks. The first point must be comfortably under the knee and the last
   // comfortably past it; in between the curve must behave like an open-loop system:
   // achieved throughput tracks offered load until saturation, then plateaus while
   // the tail explodes.
-  const SweepPoint& lo = sweep.front().pt;
-  const SweepPoint& hi = sweep.back().pt;
+  const SweepPoint& lo = sweep.front();
+  const SweepPoint& hi = sweep.back();
   const bool under_knee_tracks = lo.achieved_rps > 0.85 * lo.offered_rps;
   const bool saturates = hi.achieved_rps < 0.9 * hi.offered_rps;
   const bool tail_explodes = hi.latency.p99 > 8 * lo.latency.p99;
@@ -153,7 +128,7 @@ int Run() {
                  "ramp completes; throughput tracks offered load at the lowest point "
                  "(>85%) and saturates at the highest (<90%); p99 past the knee is "
                  ">8x the lowest point's; p50 <= p99 <= p99.9 at the highest point");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

@@ -33,6 +33,8 @@
 namespace demi {
 namespace {
 
+using bench::Json;
+
 struct ScalePoint {
   int workers;
   double offered_rps;
@@ -148,56 +150,31 @@ const char* KindName(WorkloadKind k) {
   return k == WorkloadKind::kEcho ? "echo" : "kv";
 }
 
-std::string Json(const std::vector<ScalePoint>& echo,
-                 const std::vector<ScalePoint>& kv, const SkewArm& on,
-                 const SkewArm& off, bool deterministic, const Shape& shape) {
-  char buf[512];
-  std::string j = "{\n  \"config\": {";
-  std::snprintf(buf, sizeof(buf),
-                "\"conns_per_worker\": %zu, \"warmup_ns\": %lld, \"measure_ns\": "
-                "%lld, \"request_cpu_ns\": 4000, \"smoke\": %s",
-                shape.conns_per_worker, static_cast<long long>(shape.warmup),
-                static_cast<long long>(shape.measure),
-                shape.smoke ? "true" : "false");
-  j += buf;
-  j += "},\n";
-  for (const auto* curve : {&echo, &kv}) {
-    j += curve == &echo ? "  \"scaling_echo\": [" : "  \"scaling_kv\": [";
-    for (std::size_t i = 0; i < curve->size(); ++i) {
-      const ScalePoint& s = (*curve)[i];
-      std::snprintf(buf, sizeof(buf),
-                    "%s\n    {\"workers\": %d, \"offered_rps\": %.0f, "
-                    "\"achieved_rps\": %.0f, \"completed\": %llu}",
-                    i ? "," : "", s.workers, s.offered_rps, s.pt.achieved_rps,
-                    static_cast<unsigned long long>(s.pt.completed));
-      j += buf;
-    }
-    j += "\n  ],\n";
+Json ArmJson(const SkewArm& arm) {
+  Json conns = Json::Array();
+  Json served = Json::Array();
+  for (int w = 0; w < 4; ++w) {
+    conns.Push(arm.shard_conns[w]);
+    served.Push(arm.shard_served[w]);
   }
-  for (const auto* arm : {&on, &off}) {
-    j += arm == &on ? "  \"skew_steal_on\": {" : "  \"skew_steal_off\": {";
-    std::snprintf(
-        buf, sizeof(buf),
-        "\"achieved_rps\": %.0f, \"p50_ns\": %llu, \"p99_ns\": %llu, "
-        "\"p999_ns\": %llu, \"stolen\": %llu, \"steal_attempts\": %llu, "
-        "\"attempts_per_stolen\": ",
-        arm->pt.achieved_rps, static_cast<unsigned long long>(arm->pt.latency.p50),
-        static_cast<unsigned long long>(arm->pt.latency.p99),
-        static_cast<unsigned long long>(arm->pt.latency.p999),
-        static_cast<unsigned long long>(arm->stolen),
-        static_cast<unsigned long long>(arm->steal_attempts));
-    j += buf;
-    if (arm->stolen == 0) {
-      j += "null},\n";
-    } else {
-      std::snprintf(buf, sizeof(buf), "%.3f},\n", arm->AttemptsPerStolen());
-      j += buf;
-    }
-  }
-  std::snprintf(buf, sizeof(buf), "  \"deterministic\": %s\n}\n",
-                deterministic ? "true" : "false");
-  j += buf;
-  return j;
+  return Json::Object()
+      .Add("achieved_rps", bench::Fixed(arm.pt.achieved_rps, 0))
+      .Add("p50_ns", arm.pt.latency.p50)
+      .Add("p99_ns", arm.pt.latency.p99)
+      .Add("p999_ns", arm.pt.latency.p999)
+      .Add("stolen", arm.stolen)
+      .Add("steal_attempts", arm.steal_attempts)
+      .Add("attempts_per_stolen",
+           arm.stolen > 0 ? bench::Fixed(arm.AttemptsPerStolen(), 3) : nullptr)
+      .Add("shard_conns", conns)
+      .Add("shard_served", served);
+}
+
+Json DigestJson(const Digest& d) {
+  return Json::Object()
+      .Add("end_clock_ns", d.end_clock)
+      .Add("completed", d.completed)
+      .Add("stolen", d.stolen);
 }
 
 int Run() {
@@ -213,6 +190,13 @@ int Run() {
                 "shared-nothing RSS sharding scales >= 3x at 4 cores; ZygOS-style "
                 "completion stealing halves p99 under Zipf-skewed shard imbalance");
   bench::PrintCostModel(CostModel{});
+  const SmpHarnessConfig base = BaseConfig(shape, 1, WorkloadKind::kEcho);
+  bench::Record& rec = bench::Begin("bench_s1_scaling", base.seed);
+  rec.config.Add("conns_per_worker", shape.conns_per_worker)
+      .Add("warmup_ns", shape.warmup)
+      .Add("measure_ns", shape.measure)
+      .Add("request_cpu_ns", base.server_request_cpu_ns)
+      .Add("smoke", shape.smoke);
 
   // --- Section 1: saturated throughput vs cores --------------------------------
   std::printf("saturated throughput vs cores (offered 400 krps/core, %lld ms "
@@ -222,11 +206,10 @@ int Run() {
              "offered rps", "achieved rps", "speedup", "completed");
   bench::Row("--------------------------------------------------------------------"
              "--\n");
-  std::vector<ScalePoint> echo_curve, kv_curve;
   double speedup4[2] = {0, 0};
   for (WorkloadKind kind : {WorkloadKind::kEcho, WorkloadKind::kKv}) {
-    std::vector<ScalePoint>& curve =
-        kind == WorkloadKind::kEcho ? echo_curve : kv_curve;
+    std::vector<ScalePoint> curve;
+    Json rows = Json::Array();
     for (int workers : {1, 2, 4}) {
       curve.push_back(SaturatedThroughput(shape, workers, kind));
       const ScalePoint& s = curve.back();
@@ -234,10 +217,17 @@ int Run() {
       bench::Row("%8s %8d | %14.0f %14.0f %9.2fx %10llu\n", KindName(kind),
                  s.workers, s.offered_rps, s.pt.achieved_rps, speedup,
                  static_cast<unsigned long long>(s.pt.completed));
+      rows.Push(Json::Object()
+                    .Add("workers", s.workers)
+                    .Add("offered_rps", bench::Fixed(s.offered_rps, 0))
+                    .Add("achieved_rps", bench::Fixed(s.pt.achieved_rps, 0))
+                    .Add("speedup", bench::Fixed(speedup, 2))
+                    .Add("completed", s.pt.completed));
       if (workers == 4) {
         speedup4[kind == WorkloadKind::kEcho ? 0 : 1] = speedup;
       }
     }
+    rec.sim.Add(kind == WorkloadKind::kEcho ? "scaling_echo" : "scaling_kv", rows);
   }
 
   // --- Section 2: skewed shard load, stealing on vs off ------------------------
@@ -286,10 +276,10 @@ int Run() {
               static_cast<unsigned long long>(d2.stolen),
               deterministic ? "identical" : "DIVERGED");
   std::printf("\n");
-
-  bench::WriteMetricsFile(
-      "bench_s1_scaling",
-      Json(echo_curve, kv_curve, on, off, deterministic, shape));
+  rec.sim.Add("skew_steal_off", ArmJson(off))
+      .Add("skew_steal_on", ArmJson(on))
+      .Add("determinism_runs", Json::Array().Push(DigestJson(d1)).Push(DigestJson(d2)))
+      .Add("deterministic", deterministic);
 
   const bool scales = speedup4[0] >= 3.0 && speedup4[1] >= 3.0;
   const bool steal_halves_tail =
@@ -302,7 +292,7 @@ int Run() {
   bench::Verdict(deterministic,
                  "same seed -> bit-identical multi-core run (clock, completions, "
                  "steals)");
-  return scales && steal_halves_tail && deterministic ? 0 : 1;
+  return bench::Finish();
 }
 
 }  // namespace

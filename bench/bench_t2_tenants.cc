@@ -16,9 +16,6 @@
 //
 // Environment:
 //   BENCH_SMOKE=1    shorter measurement window (ctest smoke).
-//   BENCH_METRICS_DIR  where to drop bench_t2_tenants.metrics.json (the
-//                      run_benches.sh harness assembles BENCH_tenants.json
-//                      from it).
 
 #include <cmath>
 #include <cstdio>
@@ -38,6 +35,7 @@ namespace demi {
 namespace {
 
 constexpr std::uint32_t kWeights[3] = {4, 2, 1};
+constexpr std::uint64_t kSeed = 0x7e4a;  // tenant i's flood driver draws from kSeed + i
 
 struct TenantShare {
   std::string name;
@@ -87,7 +85,7 @@ ArmResult RunArm(bool isolation_on, TimeNs warmup, TimeNs measure) {
     load.burst_frames = 32;
     load.frame_bytes = 1500;
     load.bogus_fraction = 0.0;
-    load.seed = 0x7e4a + static_cast<std::uint64_t>(i);
+    load.seed = kSeed + static_cast<std::uint64_t>(i);
     drivers.push_back(std::make_unique<HostileTenant>(&sim, &nic, i, id, &registry,
                                                       sink.mac(), load));
   }
@@ -132,30 +130,18 @@ ArmResult RunArm(bool isolation_on, TimeNs warmup, TimeNs measure) {
   return out;
 }
 
-std::string Json(const ArmResult& on, const ArmResult& off, bool ok) {
-  char buf[256];
-  std::string j = "{\n";
-  const auto emit_arm = [&](const char* label, const ArmResult& arm) {
-    j += std::string("  \"") + label + "\": [";
-    for (std::size_t i = 0; i < arm.tenants.size(); ++i) {
-      const TenantShare& t = arm.tenants[i];
-      std::snprintf(buf, sizeof(buf),
-                    "%s\n    {\"name\": \"%s\", \"weight\": %u, \"tx_frames\": %llu, "
-                    "\"tx_bytes\": %llu, \"share\": %.4f, \"expected_share\": %.4f}",
-                    i ? "," : "", t.name.c_str(), t.weight,
-                    static_cast<unsigned long long>(t.tx_frames),
-                    static_cast<unsigned long long>(t.tx_bytes), t.share, t.expected);
-      j += buf;
-    }
-    j += "\n  ]";
-  };
-  emit_arm("isolation_on", on);
-  j += ",\n";
-  emit_arm("isolation_off", off);
-  std::snprintf(buf, sizeof(buf), ",\n  \"verdict\": \"%s\"\n}\n",
-                ok ? "SHAPE-OK" : "SHAPE-FAIL");
-  j += buf;
-  return j;
+bench::Json ArmJson(const ArmResult& arm) {
+  bench::Json tenants = bench::Json::Array();
+  for (const TenantShare& t : arm.tenants) {
+    tenants.Push(bench::Json::Object()
+                     .Add("name", t.name)
+                     .Add("weight", t.weight)
+                     .Add("tx_frames", t.tx_frames)
+                     .Add("tx_bytes", t.tx_bytes)
+                     .Add("share", bench::Fixed(t.share, 4))
+                     .Add("expected_share", bench::Fixed(t.expected, 4)));
+  }
+  return tenants;
 }
 
 int Run() {
@@ -171,6 +157,9 @@ int Run() {
 
   const TimeNs warmup = 10 * kMillisecond;
   const TimeNs measure = smoke ? 30 * kMillisecond : 120 * kMillisecond;
+
+  bench::Record& rec = bench::Begin("bench_t2_tenants", kSeed);
+  rec.config.Add("warmup_ns", warmup).Add("measure_ns", measure).Add("smoke", smoke);
 
   const ArmResult on = RunArm(/*isolation_on=*/true, warmup, measure);
   const ArmResult off = RunArm(/*isolation_on=*/false, warmup, measure);
@@ -197,12 +186,11 @@ int Run() {
       off.tenants[0].share < 0.45 && off.tenants[2].share > 0.20;
   const bool busy = on.total_bytes > 0 && off.total_bytes > 0;
 
-  const bool ok = busy && shares_match && off_ignores_weights;
-  bench::WriteMetricsFile("bench_t2_tenants", Json(on, off, ok));
-  bench::Verdict(ok,
+  rec.sim.Add("isolation_on", ArmJson(on)).Add("isolation_off", ArmJson(off));
+  bench::Verdict(busy && shares_match && off_ignores_weights,
                  "DWRR shares within 10% of 4/7, 2/7, 1/7 with isolation on; "
                  "FIFO shares track offered load with isolation off");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

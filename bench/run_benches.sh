@@ -1,348 +1,113 @@
 #!/usr/bin/env bash
-# Data-path bench runner: builds the four data-path benches in Release (-O2), runs
-# them, and records both simulated latency (p50/p99 ns) and wall-clock simulator
-# throughput (ops/s) into BENCH_datapath.json so the perf trajectory has a baseline.
+# Bench runner: builds the benches in Release (-O2), runs each one BENCH_RUNS times
+# and writes bench/results/<bench>.json = {"before"?, "after"}. Each arm is the
+# record the bench writes itself through bench/bench_util.h
+# ({bench, seed, config, sim, verdicts}) plus "wall_ms_min" (fastest run) and "runs".
 #
 # Usage:
-#   bench/run_benches.sh [before|after]
-#     Section label to write into BENCH_datapath.json (default: after). Run once on
-#     the old tree as `before` and once on the new tree as `after` to get a
-#     comparable pair in one file.
+#   bench/run_benches.sh [bench...]
+#     Benches to run (default: the ten listed below). The full
+#     10^6-connection L1 sweep is `BENCH_RUNS=1 bench/run_benches.sh bench_l1_openloop`.
 #
 # Environment:
 #   BENCH_BUILD_DIR     build directory (default: <repo>/build-bench)
-#   BENCH_OUT           output json (default: <repo>/BENCH_datapath.json)
-#   BENCH_RUNS          timing runs per bench; wall_ms is the min (default: 5)
+#   BENCH_RESULTS_DIR   where <bench>.json goes (default: <repo>/bench/results)
+#   BENCH_RUNS          runs per bench (default: 5)
 #   BENCH_BASELINE_BUILD_DIR
-#                       prebuilt bench binaries of a baseline tree. When set, each
-#                       timing round runs baseline and current back to back
-#                       (interleaved), and BOTH a "before" (baseline) and an
-#                       "after" (current) section are written in one invocation —
-#                       sequential whole-tree runs are not comparable when
-#                       machine load drifts between them.
-#   BENCH_SMOKE=1       smoke mode for ctest: use an existing build's bench
-#                       binaries, run them once, and fail on any SHAPE-FAIL
-#                       verdict; writes no json.
+#                       bench binaries of a baseline tree. Each round then runs the
+#                       baseline and this tree back to back (interleaved), and every
+#                       file gets a "before" (baseline) and an "after" arm: sequential
+#                       whole-tree runs are not comparable when machine load drifts.
+#   BENCH_SMOKE=1       ctest smoke: use an existing build, run each bench once,
+#                       check its record, write no results.
+#
+# A baseline must write records too, so it has to be a tree at or after the one
+# that introduced them. The run fails when a bench exits non-zero (a failed
+# verdict, or a record it could not write), leaves no parsable record, leaves one
+# without bench/sim/verdicts or with a failed verdict, or writes different values
+# on two runs of the same build.
 set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BENCH_BUILD_DIR:-$REPO/build-bench}"
-OUT="${BENCH_OUT:-$REPO/BENCH_datapath.json}"
-LABEL="${1:-after}"
-SMOKE="${BENCH_SMOKE:-0}"
+RESULTS="${BENCH_RESULTS_DIR:-$REPO/bench/results}"
 BASELINE="${BENCH_BASELINE_BUILD_DIR:-}"
+SMOKE="${BENCH_SMOKE:-0}"
+RUNS="${BENCH_RUNS:-5}"
+if [[ "$SMOKE" == "1" ]]; then RUNS=1; fi
 
-BENCHES=(bench_f1_datapath bench_e1_echo bench_c1_zerocopy bench_c2_streams bench_c3_wakeups bench_e3_storage bench_t2_tenants bench_s1_scaling bench_f2_controlpath)
-TENANTS_OUT="${BENCH_TENANTS_OUT:-$REPO/BENCH_tenants.json}"
-SMP_OUT="${BENCH_SMP_OUT:-$REPO/BENCH_smp.json}"
-STORAGE_OUT="${BENCH_STORAGE_OUT:-$REPO/BENCH_storage.json}"
-CONTROLPATH_OUT="${BENCH_CONTROLPATH_OUT:-$REPO/BENCH_controlpath.json}"
+BENCHES=("$@")
+if (( $# == 0 )); then
+  BENCHES=(bench_f1_datapath bench_f3_syscalls bench_e1_echo bench_c1_zerocopy
+           bench_c2_streams bench_c3_wakeups bench_e3_storage bench_t2_tenants
+           bench_s1_scaling bench_f2_controlpath)
+fi
 
 if [[ "$SMOKE" != "1" ]]; then
   cmake -S "$REPO" -B "$BUILD" -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" >/dev/null
   cmake --build "$BUILD" -j "$(nproc)" --target "${BENCHES[@]}" >/dev/null
+  mkdir -p "$RESULTS"
+fi
+
+ARMS=(after)
+DIRS=("$BUILD")
+if [[ -n "$BASELINE" ]]; then
+  ARMS=(before after)
+  DIRS=("$BASELINE" "$BUILD")
 fi
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-# Wall time is min-of-N (smoke mode: 1 run): the minimum is the least load-sensitive
-# wall-clock estimator, so before/after numbers stay comparable across runs.
-RUNS="${BENCH_RUNS:-5}"
-if [[ "$SMOKE" == "1" ]]; then RUNS=1; fi
-
-if [[ -n "$BASELINE" ]]; then
-  LABELS=(before after)
-  DIRS=("$BASELINE" "$BUILD")
-else
-  LABELS=("$LABEL")
-  DIRS=("$BUILD")
-fi
-
-declare -A WALL_MS  # keyed "label/bench"
 for b in "${BENCHES[@]}"; do
-  for li in "${!LABELS[@]}"; do
-    exe="${DIRS[$li]}/bench/$b"
-    if [[ ! -x "$exe" ]]; then
-      echo "missing bench binary: $exe" >&2
-      exit 1
-    fi
-  done
   for (( r = 0; r < RUNS; r++ )); do
-    # Inner loop over labels: baseline and current alternate within each round.
-    for li in "${!LABELS[@]}"; do
-      label="${LABELS[$li]}"
-      exe="${DIRS[$li]}/bench/$b"
-      # Benches that support it drop a <bench>.metrics.json observability snapshot
-      # (per-op latency quantiles, sim internals, recovery trace) in this directory.
-      mkdir -p "$TMP/metrics-$label"
+    # Inner loop over arms: baseline and current alternate within each round.
+    for i in "${!ARMS[@]}"; do
+      arm="${ARMS[$i]}"
       t0=$(date +%s%N)
-      BENCH_METRICS_DIR="$TMP/metrics-$label" "$exe" > "$TMP/$label-$b.txt"
-      t1=$(date +%s%N)
-      ms=$(( (t1 - t0) / 1000000 ))
-      key="$label/$b"
-      if [[ -z "${WALL_MS[$key]:-}" || "$ms" -lt "${WALL_MS[$key]}" ]]; then
-        WALL_MS[$key]=$ms
+      if ! BENCH_RECORD="$TMP/$arm-$b.$r.json" "${DIRS[$i]}/bench/$b" > "$TMP/$arm-$b.txt"; then
+        echo "$b ($arm): failed" >&2
+        grep 'SHAPE-FAIL' "$TMP/$arm-$b.txt" >&2 || tail -n 5 "$TMP/$arm-$b.txt" >&2
+        exit 1
       fi
+      echo $(( ($(date +%s%N) - t0) / 1000000 )) >> "$TMP/$arm-$b.wall"
     done
   done
-  for label in "${LABELS[@]}"; do
-    if grep -q 'SHAPE-FAIL' "$TMP/$label-$b.txt"; then
-      echo "$b ($label): SHAPE-FAIL" >&2
-      sed -n '/SHAPE-FAIL/p' "$TMP/$label-$b.txt" >&2
-      exit 1
-    fi
-    echo "$b ($label): SHAPE-OK (${WALL_MS[$label/$b]} ms wall, best of $RUNS)"
-  done
+
+  # Check every record; outside smoke mode, write the results file.
+  out=""
+  if [[ "$SMOKE" != "1" ]]; then out="$RESULTS/$b.json"; fi
+  python3 - "$TMP" "$b" "$RUNS" "$out" "${ARMS[@]}" <<'PY'
+import json, sys
+
+tmp, bench, runs, out, arms = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4], sys.argv[5:]
+results = {}
+for arm in arms:
+    records = []
+    for r in range(runs):
+        path = f"{tmp}/{arm}-{bench}.{r}.json"
+        try:
+            with open(path) as f:
+                records.append(json.load(f))
+        except (OSError, ValueError) as e:
+            sys.exit(f"{bench} ({arm}): no parsable record: {e}")
+    missing = [k for k in ("bench", "sim", "verdicts") if k not in records[0]]
+    if missing:
+        sys.exit(f"{bench} ({arm}): record lacks {', '.join(missing)}")
+    if any(rec != records[0] for rec in records):
+        sys.exit(f"{bench} ({arm}): simulated values differ between runs")
+    if not all(v["ok"] for v in records[0]["verdicts"]):
+        sys.exit(f"{bench} ({arm}): a verdict failed")
+    with open(f"{tmp}/{arm}-{bench}.wall") as f:
+        wall_ms = min(int(line) for line in f)
+    results[arm] = dict(records[0], wall_ms_min=wall_ms, runs=runs)
+    print(f"{bench} ({arm}): {len(records[0]['verdicts'])} verdict(s) ok, "
+          f"{wall_ms} ms wall, best of {runs}")
+if out:
+    with open(out, "w") as f:
+        json.dump(results, f)
+        f.write("\n")
+    print(f"wrote {out}")
+PY
 done
-
-if [[ "$SMOKE" == "1" ]]; then
-  exit 0
-fi
-
-ops_per_sec() {  # ops wall_ms
-  local ops=$1 ms=$2
-  if (( ms == 0 )); then ms=1; fi
-  echo $(( ops * 1000 / ms ))
-}
-
-emit_section() {  # label -> json on stdout
-  local label=$1
-
-  # f1: 2 systems x 2000 echo requests; "client-observed RTT p50   <posix>   <bypass>"
-  local f1_ops=4000 f1_p50_posix f1_p50_bypass
-  read -r f1_p50_posix f1_p50_bypass < <(
-    awk '/client-observed RTT p50/{print $(NF-1), $NF}' "$TMP/$label-bench_f1_datapath.txt")
-
-  # e1: 4 libOSes x 2000 requests; columns from the end:
-  # p50 p99 mean sys copyB dbell pkts
-  local e1_ops=8000 e1_catnip_p50 e1_catnip_p99 e1_posix_p50 e1_posix_p99
-  local e1_catnip_dbell e1_catnip_pkts
-  read -r e1_catnip_p50 e1_catnip_p99 e1_catnip_dbell e1_catnip_pkts < <(
-    awk '$1=="catnip"{print $(NF-6), $(NF-5), $(NF-1), $NF}' "$TMP/$label-bench_e1_echo.txt")
-  read -r e1_posix_p50 e1_posix_p99 < <(
-    awk '$1=="posix"{print $(NF-6), $(NF-5)}' "$TMP/$label-bench_e1_echo.txt")
-
-  # c2: demi server device cost per op at the fragments=1 (bulk SETs) row; the third
-  # pipe-separated group is "dbell/op pkts/op".
-  local c2_dbell c2_pkts
-  read -r c2_dbell c2_pkts < <(
-    awk -F'|' '$1 ~ /^1 / {split($4, a, " "); print a[1], a[2]}' \
-      "$TMP/$label-bench_c2_streams.txt")
-
-  # c1: 5 value sizes x 2 systems x 1500 requests; catnip copy count at the 4KB row.
-  local c1_ops=15000 c1_copies_4k
-  c1_copies_4k=$(awk -F'|' '$1 ~ /^4096/{n=split($3, a, " "); print a[n]}' \
-    "$TMP/$label-bench_c1_zerocopy.txt")
-
-  # c3: herd table; wait_any wakeups at 16 waiters (third pipe-separated column).
-  local c3_wakeups
-  c3_wakeups=$(awk -F'|' '$1 ~ /^16 /{split($3, a, " "); print a[1]}' \
-    "$TMP/$label-bench_c3_wakeups.txt")
-
-  # e3: catfish vs kernel log appends at the 4096-byte row (us/op columns).
-  local e3_kernel_us e3_catfish_us
-  read -r e3_kernel_us e3_catfish_us < <(
-    awk -F'|' '$1 ~ /^4096/{split($2, k, " "); split($3, c, " "); print k[1], c[1]}' \
-      "$TMP/$label-bench_e3_storage.txt")
-
-  # e3 push-down rows: "host|pushdown | depth us/op cmpl/op dbell/op nvme/op".
-  local e3_host_cmpl e3_push_cmpl
-  e3_host_cmpl=$(awk -F'|' '$1 ~ /^host /{split($2, a, " "); print a[3]}' \
-    "$TMP/$label-bench_e3_storage.txt")
-  e3_push_cmpl=$(awk -F'|' '$1 ~ /^pushdown /{split($2, a, " "); print a[3]}' \
-    "$TMP/$label-bench_e3_storage.txt")
-
-  # Observability snapshots (per-op latency p50/p99, sim internals, recovery trace)
-  # emitted by the benches themselves; {} when a bench wrote none.
-  local m_e1 m_e3
-  m_e1=$(cat "$TMP/metrics-$label/bench_e1_echo.metrics.json" 2>/dev/null || echo '{}')
-  m_e3=$(cat "$TMP/metrics-$label/bench_e3_storage.metrics.json" 2>/dev/null || echo '{}')
-
-  cat <<EOF
-{
-  "f1_datapath": {
-    "wall_ms": ${WALL_MS[$label/bench_f1_datapath]},
-    "ops": $f1_ops,
-    "ops_per_sec": $(ops_per_sec "$f1_ops" "${WALL_MS[$label/bench_f1_datapath]}"),
-    "rtt_p50_ns": {"posix": $f1_p50_posix, "kernel_bypass": $f1_p50_bypass},
-    "verdict": "SHAPE-OK"
-  },
-  "e1_echo": {
-    "wall_ms": ${WALL_MS[$label/bench_e1_echo]},
-    "ops": $e1_ops,
-    "ops_per_sec": $(ops_per_sec "$e1_ops" "${WALL_MS[$label/bench_e1_echo]}"),
-    "catnip": {"p50_ns": $e1_catnip_p50, "p99_ns": $e1_catnip_p99,
-               "doorbells_per_op": $e1_catnip_dbell, "packets_per_op": $e1_catnip_pkts},
-    "posix": {"p50_ns": $e1_posix_p50, "p99_ns": $e1_posix_p99},
-    "verdict": "SHAPE-OK"
-  },
-  "c2_streams": {
-    "wall_ms": ${WALL_MS[$label/bench_c2_streams]},
-    "catnip_bulk": {"doorbells_per_op": $c2_dbell, "packets_per_op": $c2_pkts},
-    "verdict": "SHAPE-OK"
-  },
-  "c1_zerocopy": {
-    "wall_ms": ${WALL_MS[$label/bench_c1_zerocopy]},
-    "ops": $c1_ops,
-    "ops_per_sec": $(ops_per_sec "$c1_ops" "${WALL_MS[$label/bench_c1_zerocopy]}"),
-    "catnip_copies_at_4k": $c1_copies_4k,
-    "verdict": "SHAPE-OK"
-  },
-  "c3_wakeups": {
-    "wall_ms": ${WALL_MS[$label/bench_c3_wakeups]},
-    "wait_any_wakeups_at_16_waiters": $c3_wakeups,
-    "verdict": "SHAPE-OK"
-  },
-  "e3_storage": {
-    "wall_ms": ${WALL_MS[$label/bench_e3_storage]},
-    "us_per_append_4k": {"kernel": $e3_kernel_us, "catfish": $e3_catfish_us},
-    "pushdown_completions_per_lookup": {"host": ${e3_host_cmpl:-0},
-                                        "pushdown": ${e3_push_cmpl:-0}},
-    "verdict": "SHAPE-OK"
-  },
-  "metrics": {
-    "e1_echo": $m_e1,
-    "e3_storage": $m_e3
-  }
-}
-EOF
-}
-
-declare -A SECTIONS
-for label in "${LABELS[@]}"; do
-  SECTIONS[$label]="$(emit_section "$label")"
-done
-
-if command -v jq >/dev/null && [[ -f "$OUT" ]]; then
-  for label in "${LABELS[@]}"; do
-    jq --argjson section "${SECTIONS[$label]}" ". + {\"$label\": \$section}" "$OUT" > "$OUT.tmp"
-    mv "$OUT.tmp" "$OUT"
-  done
-else
-  {
-    printf '{'
-    sep=''
-    for label in "${LABELS[@]}"; do
-      printf '%s\n  "%s": %s' "$sep" "$label" "${SECTIONS[$label]}"
-      sep=','
-    done
-    printf '\n}\n'
-  } > "$OUT"
-fi
-echo "wrote section(s) ${LABELS[*]} to $OUT"
-
-# Tenant fairness: per-label section is wall time plus the bench's own metrics
-# snapshot (per-tenant DWRR shares, on/off arms). Merged into BENCH_tenants.json
-# the same way as BENCH_datapath.json so before/after pairs diff in one file.
-emit_tenant_section() {  # label -> json on stdout
-  local label=$1 m
-  m=$(cat "$TMP/metrics-$label/bench_t2_tenants.metrics.json" 2>/dev/null || echo '{}')
-  printf '{"wall_ms": %s, "metrics": %s}' "${WALL_MS[$label/bench_t2_tenants]}" "$m"
-}
-
-if command -v jq >/dev/null && [[ -f "$TENANTS_OUT" ]]; then
-  for label in "${LABELS[@]}"; do
-    jq --argjson section "$(emit_tenant_section "$label")" \
-      ". + {\"$label\": \$section}" "$TENANTS_OUT" > "$TENANTS_OUT.tmp"
-    mv "$TENANTS_OUT.tmp" "$TENANTS_OUT"
-  done
-else
-  {
-    printf '{'
-    sep=''
-    for label in "${LABELS[@]}"; do
-      printf '%s\n  "%s": %s' "$sep" "$label" "$(emit_tenant_section "$label")"
-      sep=','
-    done
-    printf '\n}\n'
-  } > "$TENANTS_OUT"
-fi
-echo "wrote tenant section(s) ${LABELS[*]} to $TENANTS_OUT"
-
-# Multi-core scale-out: wall time plus the bench's own metrics snapshot (1->N
-# worker scaling curves for echo/KV, skewed-tail steal on/off arms, determinism
-# flag). Merged into BENCH_smp.json so before/after pairs diff in one file.
-emit_smp_section() {  # label -> json on stdout
-  local label=$1 m
-  m=$(cat "$TMP/metrics-$label/bench_s1_scaling.metrics.json" 2>/dev/null || echo '{}')
-  printf '{"wall_ms": %s, "metrics": %s}' "${WALL_MS[$label/bench_s1_scaling]}" "$m"
-}
-
-if command -v jq >/dev/null && [[ -f "$SMP_OUT" ]]; then
-  for label in "${LABELS[@]}"; do
-    jq --argjson section "$(emit_smp_section "$label")" \
-      ". + {\"$label\": \$section}" "$SMP_OUT" > "$SMP_OUT.tmp"
-    mv "$SMP_OUT.tmp" "$SMP_OUT"
-  done
-else
-  {
-    printf '{'
-    sep=''
-    for label in "${LABELS[@]}"; do
-      printf '%s\n  "%s": %s' "$sep" "$label" "$(emit_smp_section "$label")"
-      sep=','
-    done
-    printf '\n}\n'
-  } > "$SMP_OUT"
-fi
-echo "wrote smp section(s) ${LABELS[*]} to $SMP_OUT"
-
-# Storage push-down: wall time plus the e3 bench's metrics snapshot (catfish append
-# latency quantiles + the host-vs-pushdown index lookup summary: us/op,
-# completions/op, doorbells/op, nvme/op at the measured depth). Merged into
-# BENCH_storage.json so before/after pairs diff in one file.
-emit_storage_section() {  # label -> json on stdout
-  local label=$1 m
-  m=$(cat "$TMP/metrics-$label/bench_e3_storage.metrics.json" 2>/dev/null || echo '{}')
-  printf '{"wall_ms": %s, "metrics": %s}' "${WALL_MS[$label/bench_e3_storage]}" "$m"
-}
-
-if command -v jq >/dev/null && [[ -f "$STORAGE_OUT" ]]; then
-  for label in "${LABELS[@]}"; do
-    jq --argjson section "$(emit_storage_section "$label")" \
-      ". + {\"$label\": \$section}" "$STORAGE_OUT" > "$STORAGE_OUT.tmp"
-    mv "$STORAGE_OUT.tmp" "$STORAGE_OUT"
-  done
-else
-  {
-    printf '{'
-    sep=''
-    for label in "${LABELS[@]}"; do
-      printf '%s\n  "%s": %s' "$sep" "$label" "$(emit_storage_section "$label")"
-      sep=','
-    done
-    printf '\n}\n'
-  } > "$STORAGE_OUT"
-fi
-echo "wrote storage section(s) ${LABELS[*]} to $STORAGE_OUT"
-
-# Control path: wall time plus the f2 bench's metrics snapshot (fastcall-vs-syscall
-# control-op pricing, one-crossing AcceptBatch drains, and the adaptive scenario's
-# policy-off vs policy-on arms with tenant slot accounting). Merged into
-# BENCH_controlpath.json so before/after pairs diff in one file.
-emit_controlpath_section() {  # label -> json on stdout
-  local label=$1 m
-  m=$(cat "$TMP/metrics-$label/bench_f2_controlpath.metrics.json" 2>/dev/null || echo '{}')
-  printf '{"wall_ms": %s, "metrics": %s}' "${WALL_MS[$label/bench_f2_controlpath]}" "$m"
-}
-
-if command -v jq >/dev/null && [[ -f "$CONTROLPATH_OUT" ]]; then
-  for label in "${LABELS[@]}"; do
-    jq --argjson section "$(emit_controlpath_section "$label")" \
-      ". + {\"$label\": \$section}" "$CONTROLPATH_OUT" > "$CONTROLPATH_OUT.tmp"
-    mv "$CONTROLPATH_OUT.tmp" "$CONTROLPATH_OUT"
-  done
-else
-  {
-    printf '{'
-    sep=''
-    for label in "${LABELS[@]}"; do
-      printf '%s\n  "%s": %s' "$sep" "$label" "$(emit_controlpath_section "$label")"
-      sep=','
-    done
-    printf '\n}\n'
-  } > "$CONTROLPATH_OUT"
-fi
-echo "wrote controlpath section(s) ${LABELS[*]} to $CONTROLPATH_OUT"
