@@ -12,7 +12,6 @@
 #ifndef SRC_APPS_ACTORS_H_
 #define SRC_APPS_ACTORS_H_
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>

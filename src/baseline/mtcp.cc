@@ -128,11 +128,14 @@ Result<Buffer> MtcpStack::Read(int fd, std::size_t max) {
     }
     return WouldBlock();  // nothing matured past the batch boundary yet
   }
-  auto [ready_at, data] = std::move(e->staged.front());
-  e->staged.pop_front();
-  if (data.size() > max) {
-    e->staged.emplace_front(ready_at, data.Slice(max));
-    data = data.Slice(0, max);
+  Buffer& front = e->staged.front().second;
+  Buffer data;
+  if (front.size() > max) {
+    data = front.Slice(0, max);  // the rest stays staged at the same visibility time
+    front = front.Slice(max);
+  } else {
+    data = std::move(front);
+    e->staged.pop_front();
   }
   e->staged_bytes -= data.size();
   host_->CopyBytes(data.size());  // POSIX copy into the app's buffer

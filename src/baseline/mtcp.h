@@ -15,10 +15,10 @@
 #ifndef SRC_BASELINE_MTCP_H_
 #define SRC_BASELINE_MTCP_H_
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 
+#include "src/common/fifo.h"
 #include "src/common/result.h"
 #include "src/net/stack.h"
 
@@ -65,7 +65,7 @@ class MtcpStack final : public Poller {
     TcpConnection* conn = nullptr;
     TcpListener* listener = nullptr;
     std::uint16_t bound_port = 0;
-    std::deque<std::pair<TimeNs, Buffer>> staged;  // (visible_at, data)
+    Fifo<std::pair<TimeNs, Buffer>> staged;  // (visible_at, data)
     std::size_t staged_bytes = 0;
   };
 

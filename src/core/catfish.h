@@ -23,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/fifo.h"
 #include "src/core/libos.h"
 #include "src/core/recovery.h"
 #include "src/hw/block_device.h"
@@ -122,6 +123,7 @@ class CatfishLibOS final : public LibOS {
     IoCmd cmd;
     CompletionFn done;
   };
+  // std::deque, not Fifo: regrowing a ring for this thousands-deep backlog holds two arrays.
   std::deque<Deferred> deferred_;
 };
 
@@ -169,12 +171,12 @@ class CatfishFileQueue final : public IoQueue {
   bool closed_ = false;
   std::unordered_map<std::uint64_t, std::vector<std::byte>> block_cache_;
   std::unordered_map<std::uint64_t, bool> fetch_in_flight_;
-  std::deque<std::unique_ptr<PendingPush>> pending_pushes_;
-  std::deque<QToken> pending_pops_;
+  Fifo<std::unique_ptr<PendingPush>> pending_pushes_;
+  Fifo<QToken> pending_pops_;
   // Push-down chains in flight on the device; their device completions park results
   // in `ready_pushdowns_` for Progress to deliver in completion order.
   std::vector<QToken> pending_pushdowns_;
-  std::deque<std::pair<QToken, QResult>> ready_pushdowns_;
+  Fifo<std::pair<QToken, QResult>> ready_pushdowns_;
   std::uint64_t read_offset_ = 0;  // replay cursor
   // Sticky error from a failed block fetch (media error, device death). Progress
   // flushes pending pops with it — without this, ReadLogBytes would refetch the bad

@@ -29,7 +29,9 @@ Result<std::unique_ptr<IoQueue>> CatnapSocketQueue::TryAccept() {
     // from the batch for free instead of paying a crossing per pending connection.
     auto fds = kernel_->AcceptBatch(fd_, 64);
     RETURN_IF_ERROR(fds.status());
-    accepted_fds_.insert(accepted_fds_.end(), fds->begin(), fds->end());
+    for (int fd : *fds) {
+      accepted_fds_.push_back(fd);
+    }
   }
   const int new_fd = accepted_fds_.front();
   accepted_fds_.pop_front();

@@ -13,11 +13,11 @@
 #ifndef SRC_CORE_CATNAP_H_
 #define SRC_CORE_CATNAP_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/fifo.h"
 #include "src/core/libos.h"
 #include "src/kernel/kernel.h"
 #include "src/net/framing.h"
@@ -58,7 +58,7 @@ class CatnapSocketQueue final : public IoQueue {
  private:
   struct PendingPush {
     QToken token;
-    std::deque<Buffer> parts;  // unwritten wire parts
+    Fifo<Buffer> parts;  // unwritten wire parts
   };
 
   SimKernel* kernel_;
@@ -68,12 +68,12 @@ class CatnapSocketQueue final : public IoQueue {
   bool closed_ = false;
   // Listener-side: fds drained by the last AcceptBatch crossing, handed out one per
   // TryAccept call so the idle-poll path pays one crossing per backlog, not per conn.
-  std::deque<int> accepted_fds_;
+  Fifo<int> accepted_fds_;
   FrameDecoder decoder_;
   bool peer_eof_ = false;
   Status stream_error_;
-  std::deque<PendingPush> pending_pushes_;
-  std::deque<QToken> pending_pops_;
+  Fifo<PendingPush> pending_pushes_;
+  Fifo<QToken> pending_pops_;
 };
 
 }  // namespace demi

@@ -26,7 +26,6 @@
 #ifndef SRC_CORE_CATNIP_H_
 #define SRC_CORE_CATNIP_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -34,6 +33,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/common/fifo.h"
 #include "src/core/libos.h"
 #include "src/core/path_policy.h"
 #include "src/core/recovery.h"
@@ -165,7 +165,7 @@ class CatnipTcpQueue final : public IoQueue {
 
   struct PendingPush {
     QToken token;
-    std::deque<Buffer> parts;
+    Fifo<Buffer> parts;
   };
 
   // A just-accepted connection whose first frame decides its fate: a HELLO makes it
@@ -244,10 +244,10 @@ class CatnipTcpQueue final : public IoQueue {
   bool ready_hook_attached_ = false;  // conn_'s on_ready points at this queue
   FrameDecoder decoder_;
   Status stream_error_;
-  std::deque<PendingPush> pending_pushes_;
-  std::deque<QToken> pending_pops_;
+  Fifo<PendingPush> pending_pushes_;
+  Fifo<QToken> pending_pops_;
   // Elements decoded before this queue existed (embryo handoff of a plain peer).
-  std::deque<SgArray> preloaded_;
+  Fifo<SgArray> preloaded_;
 
   // --- recovery session state (untouched when recovery_ is false) ---
   bool recovery_ = false;
@@ -262,10 +262,10 @@ class CatnipTcpQueue final : public IoQueue {
   std::uint64_t last_rx_seq_ = 0;   // highest element sequence delivered
   std::uint64_t bytes_sent_ = 0;    // stream offset on the current transport
   std::uint64_t wire_seq_ = 0;      // log entry the wire parts belong to
-  std::deque<Buffer> control_parts_;
-  std::deque<Buffer> wire_parts_;
-  std::deque<std::pair<QToken, SgArray>> staged_pushes_;
-  std::deque<SgArray> ready_elements_;
+  Fifo<Buffer> control_parts_;
+  Fifo<Buffer> wire_parts_;
+  Fifo<std::pair<QToken, SgArray>> staged_pushes_;
+  Fifo<SgArray> ready_elements_;
   int attempt_ = 0;
   bool in_outage_ = false;  // reconnecting after an established session died
   TimeNs outage_start_ = 0;
@@ -288,8 +288,8 @@ class CatnipTcpQueue final : public IoQueue {
 
   // --- recovery listener state ---
   int kernel_listen_fd_ = -1;
-  std::deque<Embryo> embryos_;
-  std::deque<std::unique_ptr<CatnipTcpQueue>> accept_ready_;
+  Fifo<Embryo> embryos_;
+  Fifo<std::unique_ptr<CatnipTcpQueue>> accept_ready_;
 };
 
 // UDP datagram queue: one datagram = one element; filter-offload capable.
@@ -317,9 +317,9 @@ class CatnipUdpQueue final : public IoQueue {
   bool closed_ = false;
   Endpoint remote_;
   bool has_remote_ = false;
-  std::deque<std::pair<Endpoint, Buffer>> inbound_;
-  std::deque<QToken> pending_pops_;
-  std::deque<std::pair<QToken, QResult>> ready_;
+  Fifo<std::pair<Endpoint, Buffer>> inbound_;
+  Fifo<QToken> pending_pops_;
+  Fifo<std::pair<QToken, QResult>> ready_;
 };
 
 }  // namespace demi

@@ -11,9 +11,9 @@
 #ifndef SRC_CORE_QUEUE_OPS_H_
 #define SRC_CORE_QUEUE_OPS_H_
 
-#include <deque>
 #include <vector>
 
+#include "src/common/fifo.h"
 #include "src/core/libos.h"
 #include "src/core/queue.h"
 
@@ -35,9 +35,9 @@ class MemoryQueue final : public IoQueue {
  private:
   HostCpu* host_;
   bool closed_ = false;
-  std::deque<SgArray> elements_;
-  std::deque<QToken> pending_pops_;
-  std::deque<std::pair<QToken, QResult>> ready_;  // completions to flush
+  Fifo<SgArray> elements_;
+  Fifo<QToken> pending_pops_;
+  Fifo<std::pair<QToken, QResult>> ready_;  // completions to flush
 };
 
 // Base for combinators that wrap inner queues via the owning libOS.
@@ -73,9 +73,9 @@ class MergeQueue final : public CombinatorQueue {
  private:
   QDesc inner2_;
   InnerPop pop1_, pop2_;
-  std::deque<SgArray> buffered_;
-  std::deque<QToken> pending_pops_;
-  std::deque<std::pair<QToken, QResult>> ready_;
+  Fifo<SgArray> buffered_;
+  Fifo<QToken> pending_pops_;
+  Fifo<std::pair<QToken, QResult>> ready_;
   // Outstanding double-pushes: user token -> the two inner push tokens.
   struct DualPush {
     QToken user;
@@ -102,8 +102,8 @@ class FilterQueue final : public CombinatorQueue {
   ElementPredicate pred_;
   bool offloaded_;
   InnerPop pop_;
-  std::deque<QToken> pending_pops_;
-  std::deque<std::pair<QToken, QResult>> ready_;
+  Fifo<QToken> pending_pops_;
+  Fifo<std::pair<QToken, QResult>> ready_;
   struct ForwardPush {
     QToken user;
     QToken inner_token;
@@ -131,8 +131,8 @@ class SortQueue final : public CombinatorQueue {
   ElementComparator cmp_;
   InnerPop pop_;
   std::vector<SgArray> buffered_;  // kept sorted, highest priority at the back
-  std::deque<QToken> pending_pops_;
-  std::deque<std::pair<QToken, QResult>> ready_;
+  Fifo<QToken> pending_pops_;
+  Fifo<std::pair<QToken, QResult>> ready_;
 };
 
 // map(q, fn): applies `fn` to every element on both directions.
@@ -148,8 +148,8 @@ class MapQueueImpl final : public CombinatorQueue {
  private:
   ElementTransform transform_;
   InnerPop pop_;
-  std::deque<QToken> pending_pops_;
-  std::deque<std::pair<QToken, QResult>> ready_;
+  Fifo<QToken> pending_pops_;
+  Fifo<std::pair<QToken, QResult>> ready_;
   struct ForwardPush {
     QToken user;
     QToken inner_token;

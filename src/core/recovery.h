@@ -18,10 +18,10 @@
 #define SRC_CORE_RECOVERY_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "src/common/buffer.h"
+#include "src/common/fifo.h"
 #include "src/common/random.h"
 #include "src/common/result.h"
 #include "src/kernel/kernel.h"
@@ -154,11 +154,11 @@ class ReplayLog {
   // First entry not yet handed to the current transport, or nullptr.
   Entry* NextUnwritten();
 
-  std::deque<Entry>& entries() { return entries_; }
+  Fifo<Entry>& entries() { return entries_; }
 
  private:
   std::size_t limit_;
-  std::deque<Entry> entries_;
+  Fifo<Entry> entries_;
 };
 
 // --- session control frames -----------------------------------------------------

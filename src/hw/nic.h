@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <span>
 #include <unordered_map>
@@ -24,6 +23,7 @@
 #include <vector>
 
 #include "src/common/buffer.h"
+#include "src/common/fifo.h"
 #include "src/common/result.h"
 #include "src/common/ring_buffer.h"
 #include "src/hw/device.h"
@@ -177,14 +177,14 @@ class SimNic {
   // A serialized DMA engine shared by all tenant-bound queues of one direction.
   struct Engine {
     bool busy = false;
-    std::deque<EngineItem> fifo;  // isolation off
+    Fifo<EngineItem> fifo;  // isolation off
     struct TenantQueue {
-      std::deque<EngineItem> items;
+      Fifo<EngineItem> items;
       std::uint64_t deficit = 0;
       bool active = false;
     };
     std::unordered_map<TenantId, TenantQueue> per_tenant;
-    std::deque<TenantId> rr;  // active tenants, round-robin order
+    Fifo<TenantId> rr;  // active tenants, round-robin order
     std::size_t depth = 0;
   };
 

@@ -14,7 +14,6 @@
 #define SRC_HW_RDMA_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -22,6 +21,7 @@
 #include <vector>
 
 #include "src/common/buffer.h"
+#include "src/common/fifo.h"
 #include "src/common/result.h"
 #include "src/hw/device.h"
 #include "src/hw/tenant.h"
@@ -112,8 +112,8 @@ class RdmaQp {
   TenantId tenant_ = kNoTenant;  // set by Connect(addr, tenant); quota released on Fail
   Status error_status_ = Status(ErrorCode::kConnectionReset, "qp in error state");
   std::weak_ptr<RdmaQp> peer_;
-  std::deque<std::pair<std::uint64_t, Buffer>> recv_queue_;
-  std::deque<WorkCompletion> cq_;
+  Fifo<std::pair<std::uint64_t, Buffer>> recv_queue_;
+  Fifo<WorkCompletion> cq_;
   std::unordered_set<std::uint64_t> inflight_sends_;
   std::size_t outstanding_sends_ = 0;
 };
@@ -129,7 +129,7 @@ class RdmaCm {
   friend class RdmaNic;
   struct ListenerState {
     RdmaNic* nic;
-    std::deque<std::shared_ptr<RdmaQp>> accept_queue;  // server-side QPs, connecting
+    Fifo<std::shared_ptr<RdmaQp>> accept_queue;  // server-side QPs, connecting
   };
   Simulation* sim_;
   std::unordered_map<std::string, ListenerState> listeners_;

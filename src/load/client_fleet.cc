@@ -18,7 +18,7 @@ constexpr TimeNs kNever = -1;
 
 }  // namespace
 
-void SendOrQueue(TcpConnection& tc, std::deque<Buffer>& backlog, std::vector<Buffer> parts) {
+void SendOrQueue(TcpConnection& tc, Fifo<Buffer>& backlog, std::vector<Buffer> parts) {
   std::size_t sent = 0;
   if (backlog.empty()) {
     while (sent < parts.size() && tc.Send(parts[sent]).ok()) {
@@ -30,7 +30,7 @@ void SendOrQueue(TcpConnection& tc, std::deque<Buffer>& backlog, std::vector<Buf
   }
 }
 
-void FlushBacklog(TcpConnection& tc, std::deque<Buffer>& backlog) {
+void FlushBacklog(TcpConnection& tc, Fifo<Buffer>& backlog) {
   while (!backlog.empty() && tc.Send(backlog.front()).ok()) {
     backlog.pop_front();
   }

@@ -55,12 +55,12 @@
 #define SRC_LOAD_CLIENT_FLEET_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/fifo.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/hw/fabric.h"
@@ -106,9 +106,9 @@ struct SweepPoint {
 
 // Sends `parts` in order on `tc`; the first part the send buffer rejects and every
 // part after it wait in `backlog`, behind anything already there.
-void SendOrQueue(TcpConnection& tc, std::deque<Buffer>& backlog, std::vector<Buffer> parts);
+void SendOrQueue(TcpConnection& tc, Fifo<Buffer>& backlog, std::vector<Buffer> parts);
 // Moves backlogged parts into the send buffer until it is full again.
-void FlushBacklog(TcpConnection& tc, std::deque<Buffer>& backlog);
+void FlushBacklog(TcpConnection& tc, Fifo<Buffer>& backlog);
 
 class ClientFleet final {
  public:
@@ -182,8 +182,8 @@ class ClientFleet final {
     bool slow = false;
     bool drain_scheduled = false;
     TimerId arrival = kInvalidTimer;
-    std::deque<Pending> pending;  // outstanding requests, oldest first
-    std::deque<Buffer> backlog;   // wire parts the send buffer rejected
+    Fifo<Pending> pending;  // outstanding requests, oldest first
+    Fifo<Buffer> backlog;   // wire parts the send buffer rejected
   };
 
   void OpenConnection(std::size_t i);

@@ -10,11 +10,11 @@
 #define SRC_NET_FRAMING_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "src/common/buffer.h"
+#include "src/common/fifo.h"
 #include "src/common/result.h"
 #include "src/memory/sgarray.h"
 
@@ -49,7 +49,7 @@ class FrameDecoder {
  private:
   bool ConsumeInto(std::span<std::byte> out);
 
-  std::deque<Buffer> pending_;
+  Fifo<Buffer> pending_;
   std::size_t avail_ = 0;
   bool have_len_ = false;
   bool poisoned_ = false;

@@ -23,13 +23,13 @@
 #define SRC_NET_TCP_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
 #include <vector>
 
 #include "src/common/buffer.h"
+#include "src/common/fifo.h"
 #include "src/common/result.h"
 #include "src/memory/sgarray.h"
 #include "src/net/packet.h"
@@ -230,9 +230,9 @@ class TcpConnection {
   std::uint32_t snd_una_;   // oldest unacknowledged
   std::uint32_t snd_nxt_;   // next sequence to send
   std::uint32_t snd_wnd_ = 0;  // peer's advertised window
-  std::deque<Buffer> send_queue_;
+  Fifo<Buffer> send_queue_;
   std::size_t send_queue_bytes_ = 0;
-  std::deque<InflightSegment> inflight_;
+  Fifo<InflightSegment> inflight_;
   bool fin_queued_ = false;  // Close() called; FIN not yet sent
   bool fin_sent_ = false;
   std::uint32_t fin_seq_ = 0;
@@ -261,7 +261,7 @@ class TcpConnection {
   bool pending_fin_ = false;          // FIN seen but data before it still missing
   std::uint32_t pending_fin_seq_ = 0;
   std::map<std::uint32_t, Buffer> ooo_;  // seq -> payload, out-of-order stash
-  std::deque<Buffer> recv_ready_;
+  Fifo<Buffer> recv_ready_;
   std::size_t recv_ready_bytes_ = 0;
   std::size_t ooo_bytes_ = 0;
   bool advertised_zero_window_ = false;
@@ -298,7 +298,7 @@ class TcpListener {
   friend class NetStack;
   std::uint16_t port_;
   std::size_t backlog_;
-  std::deque<TcpConnection*> accept_queue_;
+  Fifo<TcpConnection*> accept_queue_;
   std::size_t embryos_ = 0;  // half-open connections counted against the backlog
 };
 

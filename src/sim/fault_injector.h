@@ -21,7 +21,6 @@
 #define SRC_SIM_FAULT_INJECTOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -30,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/fifo.h"
 #include "src/common/random.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
@@ -128,7 +128,7 @@ class FaultInjector {
     bool link_up = true;
     bool failed = false;
     bool reg_exhausted = false;
-    std::deque<FaultKind> one_shot_ops;           // armed per-op faults, FIFO
+    Fifo<FaultKind> one_shot_ops;  // armed per-op faults, FIFO
     std::vector<std::pair<FaultKind, double>> op_rates;
   };
 

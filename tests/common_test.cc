@@ -1,10 +1,13 @@
 // Unit tests for src/common: Status/Result, Buffer slicing & refcounts, RingBuffer
-// FIFO invariants, ObjectPool reuse, byte-order codecs, checksums, histograms, and the
+// FIFO invariants, the lazily allocated growable Fifo, ObjectPool reuse, byte-order codecs, checksums, histograms, and the
 // deterministic random sources (including Zipf skew properties).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
@@ -13,6 +16,7 @@
 #include "src/common/buffer.h"
 #include "src/common/byte_order.h"
 #include "src/common/checksum.h"
+#include "src/common/fifo.h"
 #include "src/common/histogram.h"
 #include "src/common/pool.h"
 #include "src/common/random.h"
@@ -167,6 +171,180 @@ TEST(RingBufferTest, FrontPeeksWithoutConsuming) {
   ASSERT_NE(r.Front(), nullptr);
   EXPECT_EQ(*r.Front(), "x");
   EXPECT_EQ(r.size(), 1u);
+}
+
+// --- Fifo ---
+
+// Checks `f` holds exactly `ref`, front to back, through both operator[] and iteration.
+template <typename T>
+void ExpectSame(const Fifo<T>& f, const std::deque<T>& ref) {
+  ASSERT_EQ(f.size(), ref.size());
+  ASSERT_EQ(f.empty(), ref.empty());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(f[i], ref[i]) << "index " << i;
+  }
+  std::size_t i = 0;
+  for (const T& v : f) {
+    ASSERT_EQ(v, ref[i++]);
+  }
+  if (!ref.empty()) {
+    EXPECT_EQ(f.front(), ref.front());
+    EXPECT_EQ(f.back(), ref.back());
+  }
+}
+
+TEST(FifoTest, MatchesDequeOverRandomPushPopErase) {
+  Rng rng(7);
+  Fifo<int> f;
+  std::deque<int> ref;
+  int next = 0;
+  std::size_t max_capacity = 0;
+  for (int step = 0; step < 20000; ++step) {
+    // Phases of net growth and net drain so the ring wraps and regrows repeatedly.
+    const bool growing = (step / 1000) % 2 == 0;
+    const std::uint64_t roll = rng.NextBelow(100);
+    if (roll < (growing ? 60u : 35u)) {
+      f.push_back(next);
+      ref.push_back(next);
+      ++next;
+    } else if (roll < 90 && !ref.empty()) {
+      f.pop_front();
+      ref.pop_front();
+    } else if (!ref.empty()) {
+      const std::size_t at = rng.NextBelow(ref.size());
+      auto it = f.begin();
+      for (std::size_t k = 0; k < at; ++k) {
+        ++it;
+      }
+      auto after = f.erase(it);
+      ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(at));
+      EXPECT_EQ(after == f.end(), at == ref.size());
+      if (at < ref.size()) {
+        EXPECT_EQ(*after, ref[at]);
+      }
+    }
+    ExpectSame(f, ref);
+    max_capacity = std::max(max_capacity, f.capacity());
+  }
+  EXPECT_GE(max_capacity, 64u);  // grew through several doublings
+}
+
+TEST(FifoTest, WrapsBeforeGrowing) {
+  Fifo<int> f;
+  f.push_back(0);
+  EXPECT_EQ(f.capacity(), 4u);  // the first push allocates 4 slots
+  int next_in = 1, next_out = 0;
+  for (int round = 0; round < 100; ++round) {
+    while (f.size() < 4) {
+      f.push_back(next_in++);
+    }
+    EXPECT_EQ(f.front(), next_out++);
+    f.pop_front();
+  }
+  EXPECT_EQ(f.capacity(), 4u);  // a ring that never overfills never regrows
+  f.push_back(next_in++);
+  f.push_back(next_in++);
+  EXPECT_EQ(f.capacity(), 8u);
+  for (int expect = next_out; !f.empty(); ++expect) {
+    EXPECT_EQ(f.front(), expect);
+    f.pop_front();
+  }
+}
+
+TEST(FifoTest, EraseFirstMiddleLast) {
+  Fifo<int> f;
+  for (int i = 0; i < 6; ++i) {
+    f.push_back(i);
+  }
+  auto it = f.erase(f.begin());  // first
+  EXPECT_EQ(*it, 1);
+  ExpectSame<int>(f, {1, 2, 3, 4, 5});
+  it = f.begin();
+  ++it;
+  ++it;
+  it = f.erase(it);  // middle (3)
+  EXPECT_EQ(*it, 4);
+  ExpectSame<int>(f, {1, 2, 4, 5});
+  it = f.begin();
+  for (int k = 0; k < 3; ++k) {
+    ++it;
+  }
+  it = f.erase(it);  // last
+  EXPECT_TRUE(it == f.end());
+  ExpectSame<int>(f, {1, 2, 4});
+}
+
+TEST(FifoTest, HoldsMoveOnlyElements) {
+  Fifo<std::unique_ptr<int>> f;
+  for (int i = 0; i < 10; ++i) {
+    f.push_back(std::make_unique<int>(i));
+  }
+  f.erase(f.begin());
+  std::unique_ptr<int> first = std::move(f.front());
+  f.pop_front();
+  EXPECT_EQ(*first, 1);
+  Fifo<std::unique_ptr<int>> moved = std::move(f);
+  ASSERT_EQ(moved.size(), 8u);
+  for (int i = 2; i < 10; ++i) {
+    EXPECT_EQ(*moved.front(), i);
+    moved.pop_front();
+  }
+}
+
+TEST(FifoTest, EmptyAndMovedFromHoldNoStorage) {
+  Fifo<Buffer> f;
+  EXPECT_EQ(f.capacity(), 0u);
+  EXPECT_TRUE(f.empty());
+  EXPECT_TRUE(f.begin() == f.end());
+  f.push_back(Buffer::CopyOf("x"));
+  EXPECT_EQ(f.capacity(), 4u);
+  Fifo<Buffer> g(std::move(f));
+  EXPECT_EQ(f.capacity(), 0u);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  EXPECT_TRUE(f.empty());
+  Fifo<Buffer> h;
+  h = std::move(g);
+  EXPECT_EQ(g.capacity(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(h.front().AsStringView(), "x");
+}
+
+TEST(FifoTest, ReleasesEveryElement) {
+  Buffer b = Buffer::CopyOf("payload");
+  {
+    Fifo<Buffer> f;
+    for (int i = 0; i < 5; ++i) {
+      f.push_back(b);  // regrows from 4 to 8 slots with live elements
+    }
+    EXPECT_EQ(b.use_count(), 6);
+    f.pop_front();
+    EXPECT_EQ(b.use_count(), 5);
+    f.erase(f.begin());
+    EXPECT_EQ(b.use_count(), 4);
+    f.clear();
+    EXPECT_EQ(b.use_count(), 1);
+    EXPECT_EQ(f.capacity(), 8u);  // clear keeps the slots
+    f.push_back(b);
+    f.push_back(b);
+    EXPECT_EQ(b.use_count(), 3);
+  }
+  EXPECT_EQ(b.use_count(), 1);  // destruction released the last two
+  auto shared = std::make_shared<int>(1);
+  Fifo<std::shared_ptr<int>> a;
+  a.push_back(shared);
+  Fifo<std::shared_ptr<int>> c;
+  c.push_back(shared);
+  EXPECT_EQ(shared.use_count(), 3);
+  a = std::move(c);  // move-assignment releases a's old element
+  EXPECT_EQ(shared.use_count(), 2);
+}
+
+TEST(FifoTest, PushOfOwnElementSurvivesGrowth) {
+  Fifo<std::string> f;
+  for (int i = 0; i < 4; ++i) {
+    f.push_back(std::string(32, static_cast<char>('a' + i)));
+  }
+  f.push_back(f.front());  // full: the argument lives in the slots being replaced
+  ASSERT_EQ(f.size(), 5u);
+  EXPECT_EQ(f.back(), std::string(32, 'a'));
 }
 
 // --- ObjectPool ---
