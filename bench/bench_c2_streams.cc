@@ -58,11 +58,11 @@ int Run() {
     opt.kind = "catnip";
     auto demi = bench::RunKv(opt);
 
+    const std::uint64_t posix_scans = posix.server_counters.Get(Counter::kStreamScans);
     const double wasted_ns =
-        static_cast<double>(posix.incomplete_scans * cost.partial_scan_ns +
+        static_cast<double>(posix_scans * cost.partial_scan_ns +
                             // each wasted wake also paid a read syscall + socket work
-                            posix.incomplete_scans *
-                                (cost.syscall_ns + cost.kernel_socket_ns)) /
+                            posix_scans * (cost.syscall_ns + cost.kernel_socket_ns)) /
         static_cast<double>(posix.completed);
 
     // Per-op device cost on the Demikernel server: doorbell coalescing and delayed
@@ -76,14 +76,14 @@ int Run() {
         ops;
     const std::uint64_t demi_scans = demi.server_counters.Get(Counter::kStreamScans);
     bench::Row("%-10d | %12llu %11.0f ns %11llu ns | %12llu %11llu ns | %-10.2f %-10.2f\n",
-               fragments, static_cast<unsigned long long>(posix.incomplete_scans),
+               fragments, static_cast<unsigned long long>(posix_scans),
                wasted_ns, static_cast<unsigned long long>(posix.latency.P50()),
                static_cast<unsigned long long>(demi_scans),
                static_cast<unsigned long long>(demi.latency.P50()), demi_doorbells,
                demi_packets);
     rows.Push(bench::Json::Object()
                   .Add("fragments", fragments)
-                  .Add("posix_partial_scans", posix.incomplete_scans)
+                  .Add("posix_partial_scans", posix_scans)
                   .Add("posix_wasted_cpu_ns_per_req", bench::Fixed(wasted_ns, 0))
                   .Add("posix_p50_ns", posix.latency.P50())
                   .Add("demi_partial_scans", demi_scans)
@@ -93,7 +93,7 @@ int Run() {
 
     shape_ok = shape_ok && posix.ok && demi.ok && demi_scans == 0;
     if (fragments == 8) {
-      posix_scans_at_8 = posix.incomplete_scans;
+      posix_scans_at_8 = posix_scans;
     }
   }
 

@@ -175,8 +175,9 @@ int Run() {
 
   auto& server_libos = env.Catnip(sh);     // leases NIC queue, maps memory (kernel!)
   auto& client_libos = env.Catnip(ch);
-  DemiEchoServer server(&server_libos, 7);
-  DemiEchoClient client(&client_libos, Endpoint{sh.ip, 7}, 64, 1);
+  DemiServer server(&server_libos, 7, EchoReply);
+  DemiClient client(&client_libos, Endpoint{sh.ip, 7}, 1, EchoRequests(&client_libos, 64),
+                    EchoReplyOk(64));
   env.RunUntil([&] { return client.completed() >= 1; }, 60 * kSecond);
 
   const TimeNs setup_elapsed = env.sim().now() - setup_start;
@@ -184,7 +185,8 @@ int Run() {
 
   // --- phase 2: steady-state data path ---
   const int kSteadyOps = smoke ? 1000 : 5000;
-  DemiEchoClient steady(&client_libos, Endpoint{sh.ip, 7}, 64, kSteadyOps);
+  DemiClient steady(&client_libos, Endpoint{sh.ip, 7}, kSteadyOps,
+                    EchoRequests(&client_libos, 64), EchoReplyOk(64));
   const TimeNs data_start = env.sim().now();
   const std::uint64_t sys1 = sh.cpu->counters().Get(Counter::kSyscalls);
   const std::uint64_t cpu1 = sh.cpu->busy_ns();

@@ -7,8 +7,8 @@
 
 #include <string>
 
+#include "bench/topology.h"
 #include "src/apps/actors.h"
-#include "src/core/harness.h"
 
 namespace demi::bench {
 
@@ -32,27 +32,14 @@ inline EchoRun RunEcho(const std::string& kind, std::size_t msg_bytes,
   TestHarness env(cost);
   EchoRun out;
 
-  HostOptions server_opts;
-  HostOptions client_opts;
-  client_opts.charges_clock = false;
-  if (kind == "catmint") {
-    server_opts.with_rdma = true;
-    server_opts.with_nic = false;
-    server_opts.with_kernel = false;
-    client_opts.with_rdma = true;
-    client_opts.with_nic = false;
-    client_opts.with_kernel = false;
-  }
-  if (kind == "mtcp") {
-    server_opts.with_kernel = false;  // mTCP replaces the kernel stack
-  }
-  auto& sh = env.AddHost("server", "10.0.0.1", server_opts);
-  auto& ch = env.AddHost("client", "10.0.0.2", client_opts);
+  const Topology topo = TopologyFor(kind);
+  auto& sh = env.AddHost("server", "10.0.0.1", topo.server);
+  auto& ch = env.AddHost("client", "10.0.0.2", topo.client);
 
   // Keep every actor alive until the run finishes.
-  std::unique_ptr<DemiEchoServer> demi_server;
-  std::unique_ptr<DemiEchoClient> demi_client;
-  std::unique_ptr<PosixEchoServer> posix_server;
+  std::unique_ptr<DemiServer> demi_server;
+  std::unique_ptr<DemiClient> demi_client;
+  std::unique_ptr<PosixServer> posix_server;
   std::unique_ptr<PosixEchoClient> posix_client;
   std::unique_ptr<MtcpStack> mtcp;
   std::unique_ptr<MtcpEchoServer> mtcp_server;
@@ -65,17 +52,15 @@ inline EchoRun RunEcho(const std::string& kind, std::size_t msg_bytes,
   };
 
   if (kind == "catnip" || kind == "catnap" || kind == "catmint") {
-    LibOS* sl = kind == "catnip"   ? static_cast<LibOS*>(&env.Catnip(sh))
-                : kind == "catnap" ? static_cast<LibOS*>(&env.Catnap(sh))
-                                   : static_cast<LibOS*>(&env.Catmint(sh));
-    LibOS* cl = kind == "catnip"   ? static_cast<LibOS*>(&env.Catnip(ch))
-                : kind == "catnap" ? static_cast<LibOS*>(&env.Catnap(ch))
-                                   : static_cast<LibOS*>(&env.Catmint(ch));
-    demi_server = std::make_unique<DemiEchoServer>(sl, kEchoPort);
-    demi_client =
-        std::make_unique<DemiEchoClient>(cl, Endpoint{sh.ip, kEchoPort}, msg_bytes, requests);
+    LibOS* sl = DemiLibOS(env, sh, kind);
+    LibOS* cl = DemiLibOS(env, ch, kind);
+    demi_server = std::make_unique<DemiServer>(sl, kEchoPort, EchoReply);
+    demi_client = std::make_unique<DemiClient>(cl, Endpoint{sh.ip, kEchoPort}, requests,
+                                               EchoRequests(cl, msg_bytes),
+                                               EchoReplyOk(msg_bytes));
   } else if (kind == "posix") {
-    posix_server = std::make_unique<PosixEchoServer>(sh.kernel.get(), kEchoPort, msg_bytes);
+    posix_server =
+        std::make_unique<PosixServer>(sh.kernel.get(), kEchoPort, PosixEcho(msg_bytes));
     posix_client = std::make_unique<PosixEchoClient>(ch.kernel.get(),
                                                      Endpoint{sh.ip, kEchoPort}, msg_bytes,
                                                      requests);

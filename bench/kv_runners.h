@@ -8,8 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "bench/topology.h"
 #include "src/apps/actors.h"
-#include "src/core/harness.h"
 
 namespace demi::bench {
 
@@ -28,8 +28,6 @@ struct KvRunOptions {
 struct KvRunResult {
   Histogram latency;
   std::uint64_t completed = 0;
-  std::uint64_t server_requests = 0;
-  std::uint64_t incomplete_scans = 0;
   Counters server_counters;
   std::uint64_t server_cpu_ns = 0;
   TimeNs elapsed = 0;
@@ -44,50 +42,34 @@ inline KvRunResult RunKv(KvRunOptions opt) {
   TestHarness env(opt.cost);
   KvRunResult out;
 
-  HostOptions server_opts;
-  HostOptions client_opts;
-  client_opts.charges_clock = false;
-  if (opt.kind == "catmint") {
-    server_opts.with_rdma = true;
-    server_opts.with_nic = false;
-    server_opts.with_kernel = false;
-    client_opts.with_rdma = true;
-    client_opts.with_nic = false;
-    client_opts.with_kernel = false;
-  }
-  auto& sh = env.AddHost("server", "10.0.0.1", server_opts);
+  const Topology topo = TopologyFor(opt.kind);
+  auto& sh = env.AddHost("server", "10.0.0.1", topo.server);
 
-  std::unique_ptr<DemiKvServer> demi_server;
-  std::unique_ptr<PosixKvServer> posix_server;
-  KvEngine* engine = nullptr;
+  KvEngine engine(sh.cpu.get());
+  std::unique_ptr<DemiServer> demi_server;
+  std::unique_ptr<PosixServer> posix_server;
   if (opt.kind == "posix") {
-    posix_server = std::make_unique<PosixKvServer>(sh.kernel.get(), kKvPort);
-    engine = &posix_server->engine();
+    posix_server = std::make_unique<PosixServer>(sh.kernel.get(), kKvPort, PosixKv(&engine));
   } else {
-    LibOS* sl = opt.kind == "catnip"   ? static_cast<LibOS*>(&env.Catnip(sh))
-                : opt.kind == "catnap" ? static_cast<LibOS*>(&env.Catnap(sh))
-                                       : static_cast<LibOS*>(&env.Catmint(sh));
-    demi_server = std::make_unique<DemiKvServer>(sl, kKvPort);
-    engine = &demi_server->engine();
+    demi_server = std::make_unique<DemiServer>(DemiLibOS(env, sh, opt.kind), kKvPort,
+                                               KvReplies(&engine));
   }
 
   // Preload the store (control path; not measured).
   {
     KvWorkload loader(opt.workload);
     for (std::uint64_t k = 0; k < opt.workload.num_keys; ++k) {
-      (void)engine->Execute(loader.LoadCommand(k));
+      (void)engine.Execute(loader.LoadCommand(k));
     }
   }
   const std::uint64_t cpu0 = sh.cpu->busy_ns();
-  const Counters counters0 = sh.cpu->counters();
-  (void)counters0;
 
   std::vector<std::unique_ptr<KvWorkload>> workloads;
-  std::vector<std::unique_ptr<DemiKvClient>> demi_clients;
+  std::vector<std::unique_ptr<DemiClient>> demi_clients;
   std::vector<std::unique_ptr<PosixKvClient>> posix_clients;
   for (int i = 0; i < opt.clients; ++i) {
     auto& ch = env.AddHost("client" + std::to_string(i),
-                           "10.0.1." + std::to_string(1 + i), client_opts);
+                           "10.0.1." + std::to_string(1 + i), topo.client);
     KvWorkloadConfig wcfg = opt.workload;
     wcfg.seed = opt.workload.seed + 7919 * static_cast<std::uint64_t>(i + 1);
     workloads.push_back(std::make_unique<KvWorkload>(wcfg));
@@ -96,11 +78,10 @@ inline KvRunResult RunKv(KvRunOptions opt) {
           ch.kernel.get(), Endpoint{sh.ip, kKvPort}, workloads.back().get(),
           opt.requests_per_client, opt.client_fragments, opt.fragment_gap_ns));
     } else {
-      LibOS* cl = opt.kind == "catnip"   ? static_cast<LibOS*>(&env.Catnip(ch))
-                  : opt.kind == "catnap" ? static_cast<LibOS*>(&env.Catnap(ch))
-                                         : static_cast<LibOS*>(&env.Catmint(ch));
-      demi_clients.push_back(std::make_unique<DemiKvClient>(
-          cl, Endpoint{sh.ip, kKvPort}, workloads.back().get(), opt.requests_per_client));
+      LibOS* cl = DemiLibOS(env, ch, opt.kind);
+      demi_clients.push_back(std::make_unique<DemiClient>(
+          cl, Endpoint{sh.ip, kKvPort}, opt.requests_per_client,
+          KvRequests(cl, workloads.back().get()), AnyReply));
     }
   }
 
@@ -130,13 +111,6 @@ inline KvRunResult RunKv(KvRunOptions opt) {
   for (const auto& c : posix_clients) {
     out.latency.Merge(c->latency());
     out.completed += c->completed();
-  }
-  if (demi_server) {
-    out.server_requests = demi_server->requests();
-  }
-  if (posix_server) {
-    out.server_requests = posix_server->stats().requests;
-    out.incomplete_scans = posix_server->stats().incomplete_scans;
   }
   out.server_counters = sh.cpu->counters();
   out.server_cpu_ns = sh.cpu->busy_ns() - cpu0;

@@ -49,7 +49,8 @@ RunResult RunDemi(const std::string& libos_kind, int num_clients) {
   } else {
     server_libos = &env.Catmint(sh);
   }
-  DemiKvServer server(server_libos, kPort);
+  KvEngine engine(sh.cpu.get());
+  DemiServer server(server_libos, kPort, KvReplies(&engine));
 
   KvWorkloadConfig wcfg;
   wcfg.num_keys = 1000;
@@ -57,11 +58,11 @@ RunResult RunDemi(const std::string& libos_kind, int num_clients) {
   wcfg.value_bytes = 64;
   for (std::uint64_t k = 0; k < wcfg.num_keys; ++k) {
     KvWorkload loader(wcfg);
-    (void)server.engine().Execute(loader.LoadCommand(k));
+    (void)engine.Execute(loader.LoadCommand(k));
   }
 
   std::vector<std::unique_ptr<KvWorkload>> workloads;
-  std::vector<std::unique_ptr<DemiKvClient>> clients;
+  std::vector<std::unique_ptr<DemiClient>> clients;
   for (int i = 0; i < num_clients; ++i) {
     auto& ch = env.AddHost("client" + std::to_string(i),
                            "10.0.0." + std::to_string(10 + i), client_opts);
@@ -75,8 +76,8 @@ RunResult RunDemi(const std::string& libos_kind, int num_clients) {
     }
     wcfg.seed = 42 + i;
     workloads.push_back(std::make_unique<KvWorkload>(wcfg));
-    clients.push_back(std::make_unique<DemiKvClient>(cl, Endpoint{sh.ip, kPort},
-                                                     workloads.back().get(), 2000));
+    clients.push_back(std::make_unique<DemiClient>(
+        cl, Endpoint{sh.ip, kPort}, 2000, KvRequests(cl, workloads.back().get()), AnyReply));
   }
 
   const TimeNs start = env.sim().now();
@@ -106,7 +107,8 @@ RunResult RunPosix(int num_clients) {
   using namespace demi;
   TestHarness env;
   auto& sh = env.AddHost("server", "10.0.0.1");
-  PosixKvServer server(sh.kernel.get(), kPort);
+  KvEngine engine(sh.cpu.get());
+  PosixServer server(sh.kernel.get(), kPort, PosixKv(&engine));
 
   KvWorkloadConfig wcfg;
   wcfg.num_keys = 1000;
@@ -114,7 +116,7 @@ RunResult RunPosix(int num_clients) {
   wcfg.value_bytes = 64;
   for (std::uint64_t k = 0; k < wcfg.num_keys; ++k) {
     KvWorkload loader(wcfg);
-    (void)server.engine().Execute(loader.LoadCommand(k));
+    (void)engine.Execute(loader.LoadCommand(k));
   }
 
   HostOptions client_opts;

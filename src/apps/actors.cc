@@ -6,20 +6,10 @@
 
 namespace demi {
 
-namespace {
+// --- DemiServer ---
 
-// Fills a freshly allocated sga with a recognizable pattern.
-SgArray MakeMessage(LibOS& libos, std::size_t bytes) {
-  SgArray sga = libos.SgaAlloc(bytes);
-  std::memset(sga.segment(0).mutable_data(), 'e', bytes);
-  return sga;
-}
-
-}  // namespace
-
-// --- DemiEchoServer ---
-
-DemiEchoServer::DemiEchoServer(LibOS* libos, std::uint16_t port) : libos_(libos) {
+DemiServer::DemiServer(LibOS* libos, std::uint16_t port, Handler handler)
+    : libos_(libos), handler_(std::move(handler)) {
   listen_qd_ = *libos_->Socket();
   DEMI_CHECK(libos_->Bind(listen_qd_, port).ok());
   DEMI_CHECK(libos_->Listen(listen_qd_).ok());
@@ -27,9 +17,9 @@ DemiEchoServer::DemiEchoServer(LibOS* libos, std::uint16_t port) : libos_(libos)
   libos_->sim().AddPoller(this);
 }
 
-DemiEchoServer::~DemiEchoServer() { libos_->sim().RemovePoller(this); }
+DemiServer::~DemiServer() { libos_->sim().RemovePoller(this); }
 
-bool DemiEchoServer::Poll() {
+bool DemiServer::Poll() {
   bool progress = false;
 
   if (accept_token_ != kInvalidQToken && libos_->OpDone(accept_token_)) {
@@ -49,9 +39,6 @@ bool DemiEchoServer::Poll() {
   }
 
   for (Conn& conn : conns_) {
-    if (conn.dead) {
-      continue;
-    }
     if (conn.push != kInvalidQToken && libos_->OpDone(conn.push)) {
       (void)libos_->TakeResult(conn.push);
       conn.push = kInvalidQToken;
@@ -65,27 +52,31 @@ bool DemiEchoServer::Poll() {
       progress = true;
       if (!r.ok() || !r->status.ok()) {
         (void)libos_->Close(conn.qd);
-        conn.dead = true;
+        conn.dead = true;  // no token is outstanding: pop failed, push was done
         continue;
       }
-      // Echo: push back the very same sga — zero copies, by construction.
-      if (auto push = libos_->Push(conn.qd, r->sga); push.ok()) {
+      if (auto push = libos_->Push(conn.qd, handler_(r->sga)); push.ok()) {
         conn.push = *push;
-        ++echoed_;
+        ++served_;
       }
       if (auto pop = libos_->Pop(conn.qd); pop.ok()) {
         conn.pop = *pop;
       }
     }
   }
+  std::erase_if(conns_, [](const Conn& conn) { return conn.dead; });
   return progress;
 }
 
-// --- DemiEchoClient ---
+// --- DemiClient ---
 
-DemiEchoClient::DemiEchoClient(LibOS* libos, Endpoint server, std::size_t msg_bytes,
-                               std::uint64_t target_requests)
-    : libos_(libos), server_(server), msg_bytes_(msg_bytes), target_(target_requests) {
+DemiClient::DemiClient(LibOS* libos, Endpoint server, std::uint64_t target_requests,
+                       NextRequest next_request, ReplyOk reply_ok)
+    : libos_(libos),
+      server_(server),
+      target_(target_requests),
+      next_request_(std::move(next_request)),
+      reply_ok_(std::move(reply_ok)) {
   qd_ = *libos_->Socket();
   auto token = libos_->ConnectAsync(qd_, server_);
   DEMI_CHECK(token.ok());
@@ -93,9 +84,9 @@ DemiEchoClient::DemiEchoClient(LibOS* libos, Endpoint server, std::size_t msg_by
   libos_->sim().AddPoller(this);
 }
 
-DemiEchoClient::~DemiEchoClient() { libos_->sim().RemovePoller(this); }
+DemiClient::~DemiClient() { libos_->sim().RemovePoller(this); }
 
-bool DemiEchoClient::Poll() {
+bool DemiClient::Poll() {
   switch (state_) {
     case State::kConnecting: {
       if (!libos_->OpDone(token_)) {
@@ -113,7 +104,7 @@ bool DemiEchoClient::Poll() {
     }
     case State::kSend: {
       sent_at_ = libos_->sim().now();
-      auto push = libos_->Push(qd_, MakeMessage(*libos_, msg_bytes_));
+      auto push = libos_->Push(qd_, next_request_());
       if (!push.ok()) {
         failed_ = true;
         state_ = State::kDone;
@@ -144,7 +135,7 @@ bool DemiEchoClient::Poll() {
       }
       auto r = libos_->TakeResult(token_);
       token_ = kInvalidQToken;
-      if (!r.ok() || !r->status.ok() || r->sga.total_bytes() != msg_bytes_) {
+      if (!r.ok() || !r->status.ok() || !reply_ok_(r->sga)) {
         failed_ = true;
         state_ = State::kDone;
         return true;
@@ -164,188 +155,61 @@ bool DemiEchoClient::Poll() {
   return false;
 }
 
-// --- DemiKvServer ---
+// --- Echo and KV over Demikernel queues ---
 
-DemiKvServer::DemiKvServer(LibOS* libos, std::uint16_t port)
-    : libos_(libos), engine_(&libos->host()) {
-  listen_qd_ = *libos_->Socket();
-  DEMI_CHECK(libos_->Bind(listen_qd_, port).ok());
-  DEMI_CHECK(libos_->Listen(listen_qd_).ok());
-  accept_token_ = *libos_->AcceptAsync(listen_qd_);
-  libos_->sim().AddPoller(this);
+SgArray EchoReply(const SgArray& request) { return request; }
+
+DemiClient::NextRequest EchoRequests(LibOS* libos, std::size_t msg_bytes) {
+  return [libos, msg_bytes] {
+    SgArray sga = libos->SgaAlloc(msg_bytes);
+    std::memset(sga.segment(0).mutable_data(), 'e', msg_bytes);
+    return sga;
+  };
 }
 
-DemiKvServer::~DemiKvServer() { libos_->sim().RemovePoller(this); }
+DemiClient::ReplyOk EchoReplyOk(std::size_t msg_bytes) {
+  return [msg_bytes](const SgArray& reply) { return reply.total_bytes() == msg_bytes; };
+}
 
-SgArray DemiKvServer::ReplySga(const KvReply& reply) {
-  if (reply.kind == RespValue::Kind::kBulk) {
-    // The reply's value segment REFERENCES the stored value (§4.5 zero copy + free
+DemiServer::Handler KvReplies(KvEngine* engine) {
+  return [engine](const SgArray& request) {
+    // §3.2's payoff: the element IS a complete request — parse it once, zero copy.
+    auto args = ParseRespCommandBuffers(request.Flatten());
+    KvReply reply;
+    if (args.ok()) {
+      reply = engine->Execute(*args);
+    } else {
+      reply.kind = RespValue::Kind::kError;
+      reply.text = "ERR protocol error";
+    }
+    if (reply.kind != RespValue::Kind::kBulk) {
+      return SgArray(Buffer::CopyOf(EncodeRespValue(reply.ToValue())));
+    }
+    // The value segment REFERENCES the stored value (§4.5 zero copy + free
     // protection); only the tiny RESP envelope is fresh memory.
     SgArray sga;
     sga.Append(Buffer::CopyOf("$" + std::to_string(reply.bulk.size()) + "\r\n"));
     sga.Append(reply.bulk);
     sga.Append(Buffer::CopyOf("\r\n"));
     return sga;
-  }
-  return SgArray(Buffer::CopyOf(EncodeRespValue(reply.ToValue())));
+  };
 }
 
-bool DemiKvServer::Poll() {
-  bool progress = false;
-
-  if (accept_token_ != kInvalidQToken && libos_->OpDone(accept_token_)) {
-    auto r = libos_->TakeResult(accept_token_);
-    accept_token_ = kInvalidQToken;
-    progress = true;
-    if (r.ok() && r->status.ok()) {
-      Conn conn{r->new_qd};
-      if (auto pop = libos_->Pop(conn.qd); pop.ok()) {
-        conn.pop = *pop;
-      }
-      conns_.push_back(conn);
-    }
-    if (auto t = libos_->AcceptAsync(listen_qd_); t.ok()) {
-      accept_token_ = *t;
-    }
-  }
-
-  for (Conn& conn : conns_) {
-    if (conn.dead) {
-      continue;
-    }
-    if (conn.push != kInvalidQToken && libos_->OpDone(conn.push)) {
-      (void)libos_->TakeResult(conn.push);
-      conn.push = kInvalidQToken;
-      progress = true;
-    }
-    if (conn.pop != kInvalidQToken && conn.push == kInvalidQToken &&
-        libos_->OpDone(conn.pop)) {
-      auto r = libos_->TakeResult(conn.pop);
-      conn.pop = kInvalidQToken;
-      progress = true;
-      if (!r.ok() || !r->status.ok()) {
-        (void)libos_->Close(conn.qd);
-        conn.dead = true;
-        continue;
-      }
-      // §3.2's payoff: the element IS a complete request — parse it once, zero copy.
-      const Buffer request = r->sga.segment_count() == 1 ? r->sga.segment(0)
-                                                         : r->sga.Flatten();
-      auto args = ParseRespCommandBuffers(request);
-      KvReply reply;
-      if (args.ok()) {
-        reply = engine_.Execute(*args);
-      } else {
-        reply.kind = RespValue::Kind::kError;
-        reply.text = "ERR protocol error";
-      }
-      ++requests_;
-      if (auto push = libos_->Push(conn.qd, ReplySga(reply)); push.ok()) {
-        conn.push = *push;
-      }
-      if (auto pop = libos_->Pop(conn.qd); pop.ok()) {
-        conn.pop = *pop;
-      }
-    }
-  }
-  return progress;
+DemiClient::NextRequest KvRequests(LibOS* libos, KvWorkload* workload) {
+  return [libos, workload] {
+    const std::string wire = EncodeRespCommand(workload->Next());
+    SgArray sga = libos->SgaAlloc(wire.size());
+    std::memcpy(sga.segment(0).mutable_data(), wire.data(), wire.size());
+    return sga;
+  };
 }
 
-// --- DemiKvClient ---
+bool AnyReply(const SgArray&) { return true; }
 
-DemiKvClient::DemiKvClient(LibOS* libos, Endpoint server, KvWorkload* workload,
-                           std::uint64_t target_requests)
-    : libos_(libos), server_(server), workload_(workload), target_(target_requests) {
-  qd_ = *libos_->Socket();
-  auto token = libos_->ConnectAsync(qd_, server_);
-  DEMI_CHECK(token.ok());
-  token_ = *token;
-  libos_->sim().AddPoller(this);
-}
+// --- PosixServer ---
 
-DemiKvClient::~DemiKvClient() { libos_->sim().RemovePoller(this); }
-
-SgArray DemiKvClient::EncodeRequest(const RespCommand& cmd) {
-  const std::string wire = EncodeRespCommand(cmd);
-  SgArray sga = libos_->SgaAlloc(wire.size());
-  std::memcpy(sga.segment(0).mutable_data(), wire.data(), wire.size());
-  return sga;
-}
-
-bool DemiKvClient::Poll() {
-  switch (state_) {
-    case State::kConnecting: {
-      if (!libos_->OpDone(token_)) {
-        return false;
-      }
-      auto r = libos_->TakeResult(token_);
-      token_ = kInvalidQToken;
-      if (!r.ok() || !r->status.ok()) {
-        failed_ = true;
-        state_ = State::kDone;
-        return true;
-      }
-      state_ = State::kSend;
-      return true;
-    }
-    case State::kSend: {
-      sent_at_ = libos_->sim().now();
-      auto push = libos_->Push(qd_, EncodeRequest(workload_->Next()));
-      if (!push.ok()) {
-        failed_ = true;
-        state_ = State::kDone;
-        return true;
-      }
-      token_ = *push;
-      state_ = State::kWaitPush;
-      return true;
-    }
-    case State::kWaitPush: {
-      if (!libos_->OpDone(token_)) {
-        return false;
-      }
-      (void)libos_->TakeResult(token_);
-      auto pop = libos_->Pop(qd_);
-      if (!pop.ok()) {
-        failed_ = true;
-        state_ = State::kDone;
-        return true;
-      }
-      token_ = *pop;
-      state_ = State::kWaitPop;
-      return true;
-    }
-    case State::kWaitPop: {
-      if (!libos_->OpDone(token_)) {
-        return false;
-      }
-      auto r = libos_->TakeResult(token_);
-      token_ = kInvalidQToken;
-      if (!r.ok() || !r->status.ok()) {
-        failed_ = true;
-        state_ = State::kDone;
-        return true;
-      }
-      latency_.Record(static_cast<std::uint64_t>(libos_->sim().now() - sent_at_));
-      if (++completed_ >= target_) {
-        (void)libos_->Close(qd_);
-        state_ = State::kDone;
-      } else {
-        state_ = State::kSend;
-      }
-      return true;
-    }
-    case State::kDone:
-      return false;
-  }
-  return false;
-}
-
-// --- PosixEchoServer ---
-
-PosixEchoServer::PosixEchoServer(SimKernel* kernel, std::uint16_t port,
-                                 std::size_t msg_bytes)
-    : kernel_(kernel), msg_bytes_(msg_bytes) {
+PosixServer::PosixServer(SimKernel* kernel, std::uint16_t port, Handler handler)
+    : kernel_(kernel), handler_(std::move(handler)) {
   listen_fd_ = *kernel_->Socket();
   DEMI_CHECK(kernel_->Bind(listen_fd_, port).ok());
   DEMI_CHECK(kernel_->Listen(listen_fd_).ok());
@@ -354,12 +218,12 @@ PosixEchoServer::PosixEchoServer(SimKernel* kernel, std::uint16_t port,
   kernel_->host().sim().AddPoller(this);
 }
 
-PosixEchoServer::~PosixEchoServer() { kernel_->host().sim().RemovePoller(this); }
+PosixServer::~PosixServer() { kernel_->host().sim().RemovePoller(this); }
 
-bool PosixEchoServer::Poll() {
+bool PosixServer::Poll() {
   bool want_outbox_flush = false;
   for (const Conn& conn : conns_) {
-    if (!conn.dead && !conn.outbox.empty()) {
+    if (!conn.outbox.empty()) {
       want_outbox_flush = true;
       break;
     }
@@ -381,14 +245,16 @@ bool PosixEchoServer::Poll() {
           break;
         }
         (void)kernel_->EpollAdd(epfd_, *fd, kEpollIn);
-        conns_.push_back(Conn{*fd, "", "", false});
+        conns_.push_back(Conn{*fd, handler_(), "", false});
       }
       continue;
     }
     for (Conn& conn : conns_) {
+      // A fd closed earlier in this batch may already be reused by a new connection.
       if (conn.fd != ev.fd || conn.dead) {
         continue;
       }
+      std::string received;
       while (true) {
         auto data = kernel_->ReadSock(conn.fd, 65536);
         if (!data.ok()) {
@@ -399,22 +265,22 @@ bool PosixEchoServer::Poll() {
           }
           break;
         }
-        conn.inbox.append(data->AsStringView());
+        received.append(data->AsStringView());
+      }
+      // Bytes that arrived with the close are still processed (their replies are
+      // never sent).
+      if (!conn.step(received, conn.outbox, served_)) {
+        (void)kernel_->EpollDel(epfd_, conn.fd);
+        (void)kernel_->CloseFd(conn.fd);
+        conn.dead = true;
       }
       break;
     }
   }
+  std::erase_if(conns_, [](const Conn& conn) { return conn.dead; });
 
-  // Echo complete messages; stage partial writes in the outbox.
+  // Stage partial writes in the outbox.
   for (Conn& conn : conns_) {
-    if (conn.dead) {
-      continue;
-    }
-    while (conn.inbox.size() >= msg_bytes_) {
-      conn.outbox.append(conn.inbox, 0, msg_bytes_);
-      conn.inbox.erase(0, msg_bytes_);
-      ++echoed_;
-    }
     while (!conn.outbox.empty()) {
       auto written = kernel_->WriteSock(conn.fd, Buffer::CopyOf(conn.outbox));
       if (!written.ok()) {
@@ -424,6 +290,53 @@ bool PosixEchoServer::Poll() {
     }
   }
   return progress;
+}
+
+PosixServer::Handler PosixEcho(std::size_t msg_bytes) {
+  return [msg_bytes]() -> PosixServer::Step {
+    return [msg_bytes, inbox = std::string()](std::string_view received,
+                                              std::string& outbox,
+                                              std::uint64_t& served) mutable {
+      inbox.append(received);
+      while (inbox.size() >= msg_bytes) {
+        outbox.append(inbox, 0, msg_bytes);
+        inbox.erase(0, msg_bytes);
+        ++served;
+      }
+      return true;
+    };
+  };
+}
+
+PosixServer::Handler PosixKv(KvEngine* engine) {
+  return [engine]() -> PosixServer::Step {
+    return [engine, parser = RespRequestParser()](std::string_view received,
+                                                  std::string& outbox,
+                                                  std::uint64_t& served) mutable {
+      parser.Feed(received);
+      // Drain complete requests; incomplete tails are the §3.2 wasted scans.
+      const std::uint64_t scans_before = parser.incomplete_scans();
+      while (true) {
+        auto next = parser.Next();
+        if (!next.ok()) {
+          return false;
+        }
+        if (!next->has_value()) {
+          break;
+        }
+        outbox += EncodeRespValue(engine->Execute(**next));
+        ++served;
+      }
+      const std::uint64_t new_scans = parser.incomplete_scans() - scans_before;
+      if (new_scans > 0) {
+        // The server woke up, crossed the kernel, and scanned — for nothing.
+        HostCpu& host = engine->host();
+        host.Count(Counter::kStreamScans, new_scans);
+        host.Work(static_cast<TimeNs>(new_scans) * host.cost().partial_scan_ns);
+      }
+      return true;
+    };
+  };
 }
 
 // --- PosixEchoClient ---
@@ -487,110 +400,6 @@ bool PosixEchoClient::Poll() {
       return false;
   }
   return false;
-}
-
-// --- PosixKvServer ---
-
-PosixKvServer::PosixKvServer(SimKernel* kernel, std::uint16_t port)
-    : kernel_(kernel), engine_(&kernel->host()) {
-  listen_fd_ = *kernel_->Socket();
-  DEMI_CHECK(kernel_->Bind(listen_fd_, port).ok());
-  DEMI_CHECK(kernel_->Listen(listen_fd_).ok());
-  epfd_ = *kernel_->EpollCreate();
-  DEMI_CHECK(kernel_->EpollAdd(epfd_, listen_fd_, kEpollIn).ok());
-  kernel_->host().sim().AddPoller(this);
-}
-
-PosixKvServer::~PosixKvServer() { kernel_->host().sim().RemovePoller(this); }
-
-bool PosixKvServer::Poll() {
-  bool want_outbox_flush = false;
-  for (const Conn& conn : conns_) {
-    if (!conn.dead && !conn.outbox.empty()) {
-      want_outbox_flush = true;
-      break;
-    }
-  }
-  if (!kernel_->EpollAnyReady(epfd_) && !want_outbox_flush) {
-    return false;
-  }
-  auto events = kernel_->EpollWait(epfd_, 64);
-  if (!events.ok()) {
-    return false;
-  }
-  bool progress = !events->empty() || want_outbox_flush;
-
-  for (const EpollEvent& ev : *events) {
-    if (ev.fd == listen_fd_) {
-      while (true) {
-        auto fd = kernel_->Accept(listen_fd_);
-        if (!fd.ok()) {
-          break;
-        }
-        (void)kernel_->EpollAdd(epfd_, *fd, kEpollIn);
-        conns_.push_back(Conn{*fd, {}, "", false});
-      }
-      continue;
-    }
-    for (Conn& conn : conns_) {
-      if (conn.fd != ev.fd || conn.dead) {
-        continue;
-      }
-      while (true) {
-        auto data = kernel_->ReadSock(conn.fd, 65536);
-        if (!data.ok()) {
-          if (data.code() != ErrorCode::kWouldBlock) {
-            (void)kernel_->EpollDel(epfd_, conn.fd);
-            (void)kernel_->CloseFd(conn.fd);
-            conn.dead = true;
-          }
-          break;
-        }
-        conn.parser.Feed(data->AsStringView());
-      }
-
-      // Drain complete requests; incomplete tails are the §3.2 wasted scans.
-      const std::uint64_t scans_before = conn.parser.incomplete_scans();
-      while (true) {
-        auto next = conn.parser.Next();
-        if (!next.ok()) {
-          (void)kernel_->EpollDel(epfd_, conn.fd);
-          (void)kernel_->CloseFd(conn.fd);
-          conn.dead = true;
-          break;
-        }
-        if (!next->has_value()) {
-          break;
-        }
-        const RespValue reply = engine_.Execute(**next);
-        conn.outbox += EncodeRespValue(reply);
-        ++stats_.requests;
-      }
-      const std::uint64_t new_scans = conn.parser.incomplete_scans() - scans_before;
-      if (new_scans > 0) {
-        // The server woke up, crossed the kernel, and scanned — for nothing.
-        stats_.incomplete_scans += new_scans;
-        kernel_->host().Count(Counter::kStreamScans, new_scans);
-        kernel_->host().Work(static_cast<TimeNs>(new_scans) *
-                             kernel_->host().cost().partial_scan_ns);
-      }
-      break;
-    }
-  }
-
-  for (Conn& conn : conns_) {
-    if (conn.dead) {
-      continue;
-    }
-    while (!conn.outbox.empty()) {
-      auto written = kernel_->WriteSock(conn.fd, Buffer::CopyOf(conn.outbox));
-      if (!written.ok()) {
-        break;
-      }
-      conn.outbox.erase(0, *written);
-    }
-  }
-  return progress;
 }
 
 // --- PosixKvClient ---
@@ -736,7 +545,7 @@ bool MtcpEchoServer::Poll() {
         break;
       }
       conn.inbox.erase(0, msg_bytes_);
-      ++echoed_;
+      ++served_;
       progress = true;
     }
   }

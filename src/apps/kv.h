@@ -50,6 +50,8 @@ class KvEngine {
   // Convenience for tests and string-based callers.
   RespValue Execute(const RespCommand& cmd);
 
+  // The host every request's CPU is charged to.
+  HostCpu& host() const { return *host_; }
   std::size_t size() const { return store_.size(); }
   std::uint64_t requests_served() const { return requests_; }
 

@@ -81,7 +81,6 @@ class CatmintQueue final : public IoQueue {
   Fifo<std::pair<QToken, SgArray>> queued_pushes_;  // waiting for send-queue room
   Fifo<QToken> pending_pops_;
   Fifo<SgArray> received_;  // completed messages not yet claimed by a pop
-  Fifo<std::pair<QToken, QResult>> ready_;
 };
 
 }  // namespace demi

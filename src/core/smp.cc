@@ -1,35 +1,29 @@
 #include "src/core/smp.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "src/common/logging.h"
+#include "src/net/framing.h"
 #include "src/sim/counters.h"
 
 namespace demi {
 
 namespace {
 
-// Wire protocol of src/load/workload.h: the first 4 payload bytes carry the
-// response length, little-endian, clamped so a corrupt header cannot ask for
-// unbounded data. The header may straddle sga segments after reassembly.
-std::uint32_t DecodeResponseBytes(const SgArray& sga) {
-  std::uint8_t hdr[4] = {};
+// The response-length header may straddle sga segments after reassembly.
+std::uint32_t ResponseBytes(const SgArray& sga) {
+  std::uint8_t hdr[kResponseHeaderBytes] = {};
   std::size_t got = 0;
   for (const Buffer& seg : sga) {
     const auto bytes = seg.span();
-    for (std::size_t i = 0; i < bytes.size() && got < 4; ++i) {
+    for (std::size_t i = 0; i < bytes.size() && got < kResponseHeaderBytes; ++i) {
       hdr[got++] = std::to_integer<std::uint8_t>(bytes[i]);
     }
-    if (got == 4) {
+    if (got == kResponseHeaderBytes) {
       break;
     }
   }
-  const std::uint32_t v = static_cast<std::uint32_t>(hdr[0]) |
-                          static_cast<std::uint32_t>(hdr[1]) << 8 |
-                          static_cast<std::uint32_t>(hdr[2]) << 16 |
-                          static_cast<std::uint32_t>(hdr[3]) << 24;
-  return std::min(v, SmpWorker::kMaxResponseBytes);
+  return DecodeResponseBytes(hdr);
 }
 
 }  // namespace
@@ -141,7 +135,7 @@ void SmpWorker::HandleCompletion(ReadyCompletion& rc, SmpWorker* owner) {
     (void)owner_libos.Close(rc.qd);
     return;
   }
-  const std::uint32_t resp_bytes = DecodeResponseBytes(rc.result.sga);
+  const std::uint32_t resp_bytes = ResponseBytes(rc.result.sga);
   cpu_.Work(cfg_.request_cpu_ns);  // app service time, on the executing core
   ++served_;
   if (owner != this) {

@@ -72,10 +72,6 @@ class WorkerPool;
 // One sharded worker: Catnip libOS + request loop on a dedicated core.
 class SmpWorker final : public Poller, public CompletionWatcher {
  public:
-  // Mirrors WorkloadModel::kMaxResponseBytes — the shared wire protocol's clamp on
-  // the 4-byte little-endian response-length header.
-  static constexpr std::uint32_t kMaxResponseBytes = 4096;
-
   SmpWorker(WorkerPool* pool, Simulation* sim, SimNic* nic, int index,
             const SmpConfig& cfg);
   ~SmpWorker() override;

@@ -61,8 +61,9 @@ AdaptiveEchoHarness::AdaptiveEchoHarness(AdaptiveHarnessConfig cfg) : cfg_(cfg) 
   churn_server_libos_ = &h_->Catnap(*server_host_);
   churn_client_libos_ = &h_->Catnap(*client_host_);
 
-  echo_server_ = std::make_unique<DemiEchoServer>(server_libos_, kFlowPort);
-  churn_echo_server_ = std::make_unique<DemiEchoServer>(churn_server_libos_, kChurnPort);
+  echo_server_ = std::make_unique<DemiServer>(server_libos_, kFlowPort, EchoReply);
+  churn_echo_server_ =
+      std::make_unique<DemiServer>(churn_server_libos_, kChurnPort, EchoReply);
 
   // Flows arrive staggered by a seed-derived jitter, like real clients. This is also
   // what couples the seed to the timeline: a different seed shifts every connect, so

@@ -131,8 +131,8 @@ class AdaptiveEchoHarness final : public Poller {
   CatnipLibOS* client_libos_ = nullptr;   // paced hot/cold flows
   CatnapLibOS* churn_server_libos_ = nullptr;  // kernel-path echo server, port 9
   CatnapLibOS* churn_client_libos_ = nullptr;  // churn dialer
-  std::unique_ptr<DemiEchoServer> echo_server_;
-  std::unique_ptr<DemiEchoServer> churn_echo_server_;
+  std::unique_ptr<DemiServer> echo_server_;
+  std::unique_ptr<DemiServer> churn_echo_server_;
 
   std::vector<Flow> flows_;
   std::vector<ChurnConn> churn_;

@@ -52,7 +52,7 @@ OpenLoopRunner::OpenLoopRunner(OpenLoopConfig cfg) : cfg_(cfg), fabric_(&sim_, c
   }
   const ClientFleetConfig fleet_cfg = FleetConfig(cfg_);
 
-  response_blob_ = Buffer::Allocate(WorkloadModel::kMaxResponseBytes);
+  response_blob_ = Buffer::Allocate(kMaxResponseBytes);
   std::memset(response_blob_.mutable_data(), 0, response_blob_.size());
 
   NicConfig nic_cfg;
@@ -164,10 +164,10 @@ void OpenLoopRunner::OnServerReady(TcpConnection* tc) {
 
 void OpenLoopRunner::ConsumeRequestBytes(TcpConnection* tc, SrvConn& sc,
                                          const Buffer& b) {
-  // One unit is the frame length, then the request, whose first kHeaderBytes name
-  // the response length: unit bytes [4, 8).
+  // One unit is the frame length, then the request, whose first kResponseHeaderBytes
+  // name the response length: unit bytes [4, 8).
   constexpr std::size_t kHdrBegin = kFrameHeaderBytes;
-  constexpr std::size_t kHdrEnd = kFrameHeaderBytes + WorkloadModel::kHeaderBytes;
+  constexpr std::size_t kHdrEnd = kFrameHeaderBytes + kResponseHeaderBytes;
   const std::size_t unit = kFrameHeaderBytes + cfg_.workload.request_bytes;
   const std::byte* data = b.data();
   std::size_t off = 0;
@@ -183,7 +183,7 @@ void OpenLoopRunner::ConsumeRequestBytes(TcpConnection* tc, SrvConn& sc,
     off += take;
     if (sc.got == unit) {
       sc.got = 0;
-      ServeRequest(tc, sc, WorkloadModel::DecodeResponseBytes(sc.hdr));
+      ServeRequest(tc, sc, DecodeResponseBytes(sc.hdr));
     }
   }
 }

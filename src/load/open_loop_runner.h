@@ -113,7 +113,7 @@ class OpenLoopRunner final : public Poller {
  private:
   struct SrvConn {
     std::size_t got = 0;  // bytes of the current request unit consumed so far
-    std::uint8_t hdr[WorkloadModel::kHeaderBytes] = {};
+    std::uint8_t hdr[kResponseHeaderBytes] = {};
     Fifo<Buffer> backlog;  // response parts awaiting send-buffer space
   };
 

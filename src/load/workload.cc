@@ -18,7 +18,7 @@ constexpr std::size_t kNumValueClasses = sizeof(kValueClasses) / sizeof(kValueCl
 
 WorkloadModel::WorkloadModel(WorkloadConfig cfg)
     : cfg_(cfg), zipf_(std::max<std::uint64_t>(cfg.kv_keys, 1), cfg.zipf_theta) {
-  DEMI_CHECK(cfg_.request_bytes >= kHeaderBytes);
+  DEMI_CHECK(cfg_.request_bytes >= kResponseHeaderBytes);
   DEMI_CHECK(cfg_.request_bytes <= kMaxResponseBytes);  // echo responses slice the blob
   echo_request_ = BuildRequest(static_cast<std::uint32_t>(cfg_.request_bytes));
   kv_requests_.reserve(kNumValueClasses);
@@ -30,26 +30,18 @@ WorkloadModel::WorkloadModel(WorkloadConfig cfg)
 Buffer WorkloadModel::BuildRequest(std::uint32_t response_bytes) const {
   Buffer req = Buffer::Allocate(cfg_.request_bytes);
   std::memset(req.mutable_data(), 0, cfg_.request_bytes);
-  std::uint8_t hdr[kHeaderBytes] = {
+  std::uint8_t hdr[kResponseHeaderBytes] = {
       static_cast<std::uint8_t>(response_bytes),
       static_cast<std::uint8_t>(response_bytes >> 8),
       static_cast<std::uint8_t>(response_bytes >> 16),
       static_cast<std::uint8_t>(response_bytes >> 24),
   };
-  std::memcpy(req.mutable_data(), hdr, kHeaderBytes);
+  std::memcpy(req.mutable_data(), hdr, kResponseHeaderBytes);
   return req;
 }
 
 std::uint32_t WorkloadModel::ValueBytes(std::uint64_t key) {
   return kValueClasses[SplitMix64(key) % kNumValueClasses];
-}
-
-std::uint32_t WorkloadModel::DecodeResponseBytes(const std::uint8_t header[kHeaderBytes]) {
-  const std::uint32_t raw = static_cast<std::uint32_t>(header[0]) |
-                            static_cast<std::uint32_t>(header[1]) << 8 |
-                            static_cast<std::uint32_t>(header[2]) << 16 |
-                            static_cast<std::uint32_t>(header[3]) << 24;
-  return std::clamp<std::uint32_t>(raw, 1, kMaxResponseBytes);
 }
 
 WorkloadModel::Request WorkloadModel::Sample(Rng& rng) {

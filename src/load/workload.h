@@ -25,6 +25,7 @@
 
 #include "src/common/buffer.h"
 #include "src/common/random.h"
+#include "src/net/framing.h"
 
 namespace demi {
 
@@ -32,7 +33,7 @@ enum class WorkloadKind { kEcho, kKv };
 
 struct WorkloadConfig {
   WorkloadKind kind = WorkloadKind::kEcho;
-  std::size_t request_bytes = 64;  // fixed request size; must be >= kHeaderBytes
+  std::size_t request_bytes = 64;  // fixed request size; must be >= kResponseHeaderBytes
   // KV knobs.
   std::uint64_t kv_keys = 1 << 16;
   double zipf_theta = 0.99;  // YCSB default skew
@@ -40,10 +41,6 @@ struct WorkloadConfig {
 
 class WorkloadModel {
  public:
-  static constexpr std::size_t kHeaderBytes = 4;
-  // Largest value size class; also the size of the server's shared response blob.
-  static constexpr std::uint32_t kMaxResponseBytes = 4096;
-
   explicit WorkloadModel(WorkloadConfig cfg);
 
   const WorkloadConfig& config() const { return cfg_; }
@@ -58,10 +55,6 @@ class WorkloadModel {
   // KV internals, exposed for distribution tests.
   std::uint64_t SampleKey(Rng& rng) { return zipf_.Next(rng); }
   static std::uint32_t ValueBytes(std::uint64_t key);
-
-  // Server side: response length from a request's first 4 bytes, clamped to the
-  // blob size so a corrupted header cannot ask for unbounded data.
-  static std::uint32_t DecodeResponseBytes(const std::uint8_t header[kHeaderBytes]);
 
  private:
   Buffer BuildRequest(std::uint32_t response_bytes) const;

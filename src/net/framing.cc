@@ -1,5 +1,7 @@
 #include "src/net/framing.h"
 
+#include <algorithm>
+
 #include "src/common/byte_order.h"
 #include "src/common/logging.h"
 #include "src/memory/memory_manager.h"
@@ -20,6 +22,14 @@ std::vector<Buffer> EncodeFrame(const SgArray& sga, MemoryManager* mem) {
     }
   }
   return parts;
+}
+
+std::uint32_t DecodeResponseBytes(const std::uint8_t header[kResponseHeaderBytes]) {
+  const std::uint32_t raw = static_cast<std::uint32_t>(header[0]) |
+                            static_cast<std::uint32_t>(header[1]) << 8 |
+                            static_cast<std::uint32_t>(header[2]) << 16 |
+                            static_cast<std::uint32_t>(header[3]) << 24;
+  return std::clamp<std::uint32_t>(raw, 1, kMaxResponseBytes);
 }
 
 void FrameDecoder::Feed(Buffer chunk) {

@@ -25,6 +25,17 @@ class MemoryManager;
 // Upper bound on one framed message; protects the decoder from hostile lengths.
 constexpr std::size_t kMaxFrameBody = 64 * 1024 * 1024;
 
+// The load generators' request header (src/load/workload.h): a request's first
+// kResponseHeaderBytes carry the response length it asks for, little-endian. Servers
+// answer with a slice of one shared kMaxResponseBytes blob.
+constexpr std::size_t kResponseHeaderBytes = 4;
+constexpr std::uint32_t kMaxResponseBytes = 4096;
+
+// Decodes that header, clamped to [1, kMaxResponseBytes]: a corrupt header can ask
+// neither for unbounded data nor for an empty response, so every request is answered
+// with at least one byte.
+std::uint32_t DecodeResponseBytes(const std::uint8_t header[kResponseHeaderBytes]);
+
 // Encodes `sga` as wire parts: a fresh 4-byte length header followed by references to
 // the sga's segments (no payload copy). When `mem` is set, the length header comes from
 // the pre-registered header pool instead of the heap.

@@ -79,8 +79,9 @@ Outcome RunEchoChaos(std::uint64_t seed) {
   auto& ch = h.AddHost("client", "10.0.0.2", copts);
   auto& sl = h.Catnip(sh);
   auto& cl = h.Catnip(ch);
-  DemiEchoServer server(&sl, 7);
-  DemiEchoClient client(&cl, Endpoint{sh.ip, 7}, 64, kTarget);
+  DemiServer server(&sl, 7, EchoReply);
+  DemiClient client(&cl, Endpoint{sh.ip, 7}, kTarget, EchoRequests(&cl, 64),
+                    EchoReplyOk(64));
   ScheduleChaos(h, sh, ch, seed);
 
   const bool terminated =
@@ -111,11 +112,13 @@ Outcome RunKvChaos(std::uint64_t seed) {
   wcfg.num_keys = 100;
   wcfg.value_bytes = 512;
   KvWorkload workload(wcfg);
-  DemiKvServer server(&sl, 6379);
+  KvEngine engine(sh.cpu.get());
+  DemiServer server(&sl, 6379, KvReplies(&engine));
   for (std::uint64_t k = 0; k < wcfg.num_keys; ++k) {
-    (void)server.engine().Execute(workload.LoadCommand(k));
+    (void)engine.Execute(workload.LoadCommand(k));
   }
-  DemiKvClient client(&cl, Endpoint{sh.ip, 6379}, &workload, kTarget);
+  DemiClient client(&cl, Endpoint{sh.ip, 6379}, kTarget, KvRequests(&cl, &workload),
+                    AnyReply);
   ScheduleChaos(h, sh, ch, seed + 0x9e3779b97f4a7c15ULL);  // decorrelate from echo
 
   const bool terminated =
@@ -217,8 +220,9 @@ struct NicDeathRig {
 RecoveryOutcome RunEchoNicDeath(std::uint64_t seed, bool recovery) {
   constexpr std::uint64_t kTarget = 300;
   NicDeathRig rig(seed, recovery, kEchoPort);
-  DemiEchoServer server(rig.server_libos, kEchoPort);
-  DemiEchoClient client(rig.client_libos, Endpoint{rig.server->ip, kEchoPort}, 64, kTarget);
+  DemiServer server(rig.server_libos, kEchoPort, EchoReply);
+  DemiClient client(rig.client_libos, Endpoint{rig.server->ip, kEchoPort}, kTarget,
+                    EchoRequests(rig.client_libos, 64), EchoReplyOk(64));
   ScheduleNicDeathChaos(*rig.h, *rig.server, *rig.client, seed);
 
   const bool terminated =
@@ -251,12 +255,13 @@ RecoveryOutcome RunKvNicDeath(std::uint64_t seed, bool recovery) {
   wcfg.num_keys = 100;
   wcfg.value_bytes = 512;
   KvWorkload workload(wcfg);
-  DemiKvServer server(rig.server_libos, kKvPort);
+  KvEngine engine(rig.server->cpu.get());
+  DemiServer server(rig.server_libos, kKvPort, KvReplies(&engine));
   for (std::uint64_t k = 0; k < wcfg.num_keys; ++k) {
-    (void)server.engine().Execute(workload.LoadCommand(k));
+    (void)engine.Execute(workload.LoadCommand(k));
   }
-  DemiKvClient client(rig.client_libos, Endpoint{rig.server->ip, kKvPort}, &workload,
-                      kTarget);
+  DemiClient client(rig.client_libos, Endpoint{rig.server->ip, kKvPort}, kTarget,
+                    KvRequests(rig.client_libos, &workload), AnyReply);
   ScheduleNicDeathChaos(*rig.h, *rig.server, *rig.client,
                         seed + 0x9e3779b97f4a7c15ULL);  // decorrelate from echo
 
@@ -288,9 +293,9 @@ RecoveryOutcome RunBurstEchoNicDeath(std::uint64_t seed) {
   constexpr std::uint64_t kTarget = 120;
   constexpr std::size_t kMsgBytes = 8192;  // ~6 MSS segments per push
   NicDeathRig rig(seed, /*recovery=*/true, kEchoPort);
-  DemiEchoServer server(rig.server_libos, kEchoPort);
-  DemiEchoClient client(rig.client_libos, Endpoint{rig.server->ip, kEchoPort},
-                        kMsgBytes, kTarget);
+  DemiServer server(rig.server_libos, kEchoPort, EchoReply);
+  DemiClient client(rig.client_libos, Endpoint{rig.server->ip, kEchoPort}, kTarget,
+                    EchoRequests(rig.client_libos, kMsgBytes), EchoReplyOk(kMsgBytes));
   ScheduleNicDeathChaos(*rig.h, *rig.server, *rig.client,
                         seed ^ 0x6b75727374ULL);  // decorrelate from the other runs
 
@@ -428,12 +433,13 @@ RecoveryOutcome RunEchoFleetNicDeath(std::uint64_t seed) {
   // the single-session case, so the retry budget scales up with it.
   NicDeathRig rig(seed, /*recovery=*/true, kEchoPort, /*listen_backlog=*/256,
                   /*retry_timeout=*/5 * kMillisecond, /*retry_attempts=*/8);
-  DemiEchoServer server(rig.server_libos, kEchoPort);
-  std::vector<std::unique_ptr<DemiEchoClient>> fleet;
+  DemiServer server(rig.server_libos, kEchoPort, EchoReply);
+  std::vector<std::unique_ptr<DemiClient>> fleet;
   fleet.reserve(kClients);
   for (std::size_t i = 0; i < kClients; ++i) {
-    fleet.push_back(std::make_unique<DemiEchoClient>(
-        rig.client_libos, Endpoint{rig.server->ip, kEchoPort}, 64, kPerClient));
+    fleet.push_back(std::make_unique<DemiClient>(
+        rig.client_libos, Endpoint{rig.server->ip, kEchoPort}, kPerClient,
+        EchoRequests(rig.client_libos, 64), EchoReplyOk(64)));
   }
   ScheduleNicDeathChaos(*rig.h, *rig.server, *rig.client, seed ^ 0xf1ee7ULL);
 

@@ -23,8 +23,8 @@ std::tuple<TimeNs, std::uint64_t, std::uint64_t> EchoFingerprint(double loss) {
   auto& ch = h.AddHost("client", "10.0.0.2", copts);
   auto& sl = h.Catnip(sh);
   auto& cl = h.Catnip(ch);
-  DemiEchoServer server(&sl, 7);
-  DemiEchoClient client(&cl, Endpoint{sh.ip, 7}, 64, 200);
+  DemiServer server(&sl, 7, EchoReply);
+  DemiClient client(&cl, Endpoint{sh.ip, 7}, 200, EchoRequests(&cl, 64), EchoReplyOk(64));
   EXPECT_TRUE(h.RunUntil([&] { return client.done(); }, 600 * kSecond));
   return {h.sim().now(), h.sim().counters().Get(Counter::kWakeups),
           client.latency().P50()};
@@ -55,8 +55,9 @@ TEST(DeterminismTest, DifferentSeedsDiverge) {
     auto& ch = h.AddHost("client", "10.0.0.2");
     auto& sl = h.Catnip(sh);
     auto& cl = h.Catnip(ch);
-    DemiEchoServer server(&sl, 7);
-    DemiEchoClient client(&cl, Endpoint{sh.ip, 7}, 64, 100);
+    DemiServer server(&sl, 7, EchoReply);
+    DemiClient client(&cl, Endpoint{sh.ip, 7}, 100, EchoRequests(&cl, 64),
+                      EchoReplyOk(64));
     EXPECT_TRUE(h.RunUntil([&] { return client.done(); }, 600 * kSecond));
     return h.sim().now();
   };
@@ -147,15 +148,16 @@ TEST(FaultIntegrationTest, KvWorkloadSurvivesLossyFabric) {
   auto& ch = h.AddHost("client", "10.0.0.2", copts);
   auto& sl = h.Catnip(sh);
   auto& cl = h.Catnip(ch);
-  DemiKvServer server(&sl, 6379);
+  KvEngine engine(sh.cpu.get());
+  DemiServer server(&sl, 6379, KvReplies(&engine));
   KvWorkloadConfig wcfg;
   wcfg.num_keys = 100;
   wcfg.value_bytes = 512;
   KvWorkload workload(wcfg);
   for (std::uint64_t k = 0; k < wcfg.num_keys; ++k) {
-    (void)server.engine().Execute(workload.LoadCommand(k));
+    (void)engine.Execute(workload.LoadCommand(k));
   }
-  DemiKvClient client(&cl, Endpoint{sh.ip, 6379}, &workload, 200);
+  DemiClient client(&cl, Endpoint{sh.ip, 6379}, 200, KvRequests(&cl, &workload), AnyReply);
   ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 3600 * kSecond));
   EXPECT_FALSE(client.failed());
   EXPECT_EQ(client.completed(), 200u);
@@ -200,14 +202,16 @@ TEST(FaultIntegrationTest, MixedLibosHostsShareOneFabric) {
 
   auto& nip = h.Catnip(nip_host);
   auto& nap = h.Catnap(nap_host);
-  DemiEchoServer s1(&nip, 7);
-  DemiEchoServer s2(&nap, 7);
-  PosixEchoServer s3(posix_host.kernel.get(), 7, 64);
+  DemiServer s1(&nip, 7, EchoReply);
+  DemiServer s2(&nap, 7, EchoReply);
+  PosixServer s3(posix_host.kernel.get(), 7, PosixEcho(64));
 
   auto& cl_nip = h.Catnip(client_host);
   auto& cl_nap = h.Catnap(client_host);
-  DemiEchoClient c1(&cl_nip, Endpoint{nip_host.ip, 7}, 64, 50);
-  DemiEchoClient c2(&cl_nap, Endpoint{nap_host.ip, 7}, 64, 50);
+  DemiClient c1(&cl_nip, Endpoint{nip_host.ip, 7}, 50, EchoRequests(&cl_nip, 64),
+                EchoReplyOk(64));
+  DemiClient c2(&cl_nap, Endpoint{nap_host.ip, 7}, 50, EchoRequests(&cl_nap, 64),
+                EchoReplyOk(64));
   PosixEchoClient c3(client_host.kernel.get(), Endpoint{posix_host.ip, 7}, 64, 50);
 
   ASSERT_TRUE(h.RunUntil([&] { return c1.done() && c2.done() && c3.done(); },
@@ -215,9 +219,9 @@ TEST(FaultIntegrationTest, MixedLibosHostsShareOneFabric) {
   EXPECT_FALSE(c1.failed());
   EXPECT_FALSE(c2.failed());
   EXPECT_EQ(c3.completed(), 50u);
-  EXPECT_EQ(s1.echoed(), 50u);
-  EXPECT_EQ(s2.echoed(), 50u);
-  EXPECT_EQ(s3.echoed(), 50u);
+  EXPECT_EQ(s1.served(), 50u);
+  EXPECT_EQ(s2.served(), 50u);
+  EXPECT_EQ(s3.served(), 50u);
 }
 
 }  // namespace

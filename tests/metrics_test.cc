@@ -174,8 +174,9 @@ TEST(MetricsOpLatencyTest, CatnipEchoRecordsPushAndPopLatency) {
   HostOptions copts;
   copts.charges_clock = false;
   auto& ch = env.AddHost("client", "10.0.0.2", copts);
-  DemiEchoServer server(&env.Catnip(sh), kEchoPort);
-  DemiEchoClient client(&env.Catnip(ch), Endpoint{sh.ip, kEchoPort}, 64, 50);
+  DemiServer server(&env.Catnip(sh), kEchoPort, EchoReply);
+  LibOS* cl = &env.Catnip(ch);
+  DemiClient client(cl, Endpoint{sh.ip, kEchoPort}, 50, EchoRequests(cl, 64), EchoReplyOk(64));
   ASSERT_TRUE(env.RunUntil([&] { return client.done(); }, 60 * kSecond));
 
   const MetricsRegistry& m = env.sim().metrics();
@@ -235,8 +236,10 @@ WorkloadOutcome RunObservedEcho(bool metrics_enabled, std::size_t msg_bytes = 64
   HostOptions copts;
   copts.charges_clock = false;
   auto& ch = env.AddHost("client", "10.0.0.2", copts);
-  DemiEchoServer server(&env.Catnip(sh), kEchoPort);
-  DemiEchoClient client(&env.Catnip(ch), Endpoint{sh.ip, kEchoPort}, msg_bytes, 100);
+  DemiServer server(&env.Catnip(sh), kEchoPort, EchoReply);
+  LibOS* cl = &env.Catnip(ch);
+  DemiClient client(cl, Endpoint{sh.ip, kEchoPort}, 100, EchoRequests(cl, msg_bytes),
+                    EchoReplyOk(msg_bytes));
   EXPECT_TRUE(env.RunUntil([&] { return client.done(); }, 60 * kSecond));
   WorkloadOutcome out;
   out.elapsed = env.sim().now();
@@ -300,8 +303,9 @@ TEST(MetricsTraceTest, FailoverChaosRunLandsInTraceRingMonotonically) {
   client_cfg.fallback_remote = Endpoint{server_host.kernel_ip, kEchoPort};
   client_cfg.has_fallback_remote = true;
   CatnipLibOS& client_libos = h.Catnip(client_host, client_cfg);
-  DemiEchoServer server(&server_libos, kEchoPort);
-  DemiEchoClient client(&client_libos, Endpoint{server_host.ip, kEchoPort}, 64, 200);
+  DemiServer server(&server_libos, kEchoPort, EchoReply);
+  DemiClient client(&client_libos, Endpoint{server_host.ip, kEchoPort}, 200,
+                    EchoRequests(&client_libos, 64), EchoReplyOk(64));
   h.faults().ScheduleDeviceFailure(client_host.nic->fault_device(), 500 * kMicrosecond);
 
   ASSERT_TRUE(h.RunUntil([&] { return client.done() || client.failed(); }, 60 * kSecond));

@@ -182,5 +182,14 @@ TEST_P(FramingFuzzTest, RandomChunkingPreservesMessages) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FramingFuzzTest, ::testing::Values(11, 22, 33, 44, 55));
 
+TEST(ResponseHeaderTest, DecodeIsLittleEndianAndClampedToOneThroughMax) {
+  const std::uint8_t three_hundred[kResponseHeaderBytes] = {0x2C, 0x01, 0x00, 0x00};
+  const std::uint8_t zero[kResponseHeaderBytes] = {0x00, 0x00, 0x00, 0x00};
+  const std::uint8_t all_ones[kResponseHeaderBytes] = {0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_EQ(DecodeResponseBytes(three_hundred), 300u);
+  EXPECT_EQ(DecodeResponseBytes(zero), 1u);  // never an empty response
+  EXPECT_EQ(DecodeResponseBytes(all_ones), kMaxResponseBytes);
+}
+
 }  // namespace
 }  // namespace demi

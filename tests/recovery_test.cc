@@ -287,9 +287,9 @@ struct RecoveryEchoRig {
 TEST(FailoverTest, EchoCompletesAcrossClientNicDeath) {
   constexpr std::uint64_t kTarget = 200;
   RecoveryEchoRig rig(21, RecoveryConfig{});
-  DemiEchoServer server(rig.server_libos, kEchoPort);
-  DemiEchoClient client(rig.client_libos, Endpoint{rig.server_host->ip, kEchoPort}, 64,
-                        kTarget);
+  DemiServer server(rig.server_libos, kEchoPort, EchoReply);
+  DemiClient client(rig.client_libos, Endpoint{rig.server_host->ip, kEchoPort}, kTarget,
+                    EchoRequests(rig.client_libos, 64), EchoReplyOk(64));
   rig.h->faults().ScheduleDeviceFailure(rig.client_host->nic->fault_device(),
                                         500 * kMicrosecond);
 
@@ -313,9 +313,9 @@ TEST(FailoverTest, EchoCompletesAcrossServerNicDeath) {
   TcpConfig tcp;
   tcp.max_retries = 4;  // the dead server is detected in ~tens of virtual ms
   RecoveryEchoRig rig(22, cfg, tcp);
-  DemiEchoServer server(rig.server_libos, kEchoPort);
-  DemiEchoClient client(rig.client_libos, Endpoint{rig.server_host->ip, kEchoPort}, 64,
-                        kTarget);
+  DemiServer server(rig.server_libos, kEchoPort, EchoReply);
+  DemiClient client(rig.client_libos, Endpoint{rig.server_host->ip, kEchoPort}, kTarget,
+                    EchoRequests(rig.client_libos, 64), EchoReplyOk(64));
   rig.h->faults().ScheduleDeviceFailure(rig.server_host->nic->fault_device(),
                                         500 * kMicrosecond);
 
@@ -330,7 +330,7 @@ TEST(FailoverTest, EchoCompletesAcrossServerNicDeath) {
 
 TEST(FailoverTest, OpsInFlightDuringWaitAnyResolveAfterFailover) {
   RecoveryEchoRig rig(23, RecoveryConfig{});
-  DemiEchoServer server(rig.server_libos, kEchoPort);
+  DemiServer server(rig.server_libos, kEchoPort, EchoReply);
   LibOS& cl = *rig.client_libos;
 
   const QDesc qd = *cl.Socket();
@@ -368,7 +368,7 @@ TEST(FailoverTest, OpsInFlightDuringWaitAnyResolveAfterFailover) {
 TEST(FailoverTest, ReplayDeliversEveryElementExactlyOnceInOrder) {
   constexpr int kMessages = 60;
   RecoveryEchoRig rig(24, RecoveryConfig{});
-  DemiEchoServer server(rig.server_libos, kEchoPort);
+  DemiServer server(rig.server_libos, kEchoPort, EchoReply);
   LibOS& cl = *rig.client_libos;
 
   const QDesc qd = *cl.Socket();
@@ -410,7 +410,7 @@ TEST(FailoverTest, ReplayDeliversEveryElementExactlyOnceInOrder) {
 
 TEST(FailoverTest, BlockingOpsStayBoundedDuringAnOutage) {
   RecoveryEchoRig rig(25, RecoveryConfig{});
-  DemiEchoServer server(rig.server_libos, kEchoPort);
+  DemiServer server(rig.server_libos, kEchoPort, EchoReply);
   LibOS& cl = *rig.client_libos;
 
   const QDesc qd = *cl.Socket();
@@ -456,9 +456,9 @@ TEST(FailoverTest, LinkFlapReconnectsOnTheFastPathWithoutFailingOver) {
   tcp.min_rto_ns = 100 * kMicrosecond;
   tcp.max_retries = 2;  // the flap kills the connection while the device is healthy
   RecoveryEchoRig rig(26, cfg, tcp);
-  DemiEchoServer server(rig.server_libos, kEchoPort);
-  DemiEchoClient client(rig.client_libos, Endpoint{rig.server_host->ip, kEchoPort}, 64,
-                        kTarget);
+  DemiServer server(rig.server_libos, kEchoPort, EchoReply);
+  DemiClient client(rig.client_libos, Endpoint{rig.server_host->ip, kEchoPort}, kTarget,
+                    EchoRequests(rig.client_libos, 64), EchoReplyOk(64));
   rig.h->faults().ScheduleLinkFlap(rig.client_host->nic->fault_device(),
                                    300 * kMicrosecond, 2 * kMillisecond);
 
@@ -487,9 +487,9 @@ TEST(FailoverTest, RepromotesToFastPathAfterTheLinkHeals) {
   tcp.min_rto_ns = 100 * kMicrosecond;
   tcp.max_retries = 2;
   RecoveryEchoRig rig(27, cfg, tcp);
-  DemiEchoServer server(rig.server_libos, kEchoPort);
-  DemiEchoClient client(rig.client_libos, Endpoint{rig.server_host->ip, kEchoPort}, 64,
-                        kTarget);
+  DemiServer server(rig.server_libos, kEchoPort, EchoReply);
+  DemiClient client(rig.client_libos, Endpoint{rig.server_host->ip, kEchoPort}, kTarget,
+                    EchoRequests(rig.client_libos, 64), EchoReplyOk(64));
   // Long flap: fast-path attempts exhaust (tripping the breaker), the session fails
   // over, the link heals, and after 2 ms of continuous health it migrates back.
   rig.h->faults().ScheduleLinkFlap(rig.client_host->nic->fault_device(),
@@ -512,9 +512,9 @@ TEST(FailoverTest, FailoverRunsAreBitDeterministic) {
   auto run = [] {
     constexpr std::uint64_t kTarget = 150;
     RecoveryEchoRig rig(31, RecoveryConfig{});
-    DemiEchoServer server(rig.server_libos, kEchoPort);
-    DemiEchoClient client(rig.client_libos, Endpoint{rig.server_host->ip, kEchoPort}, 64,
-                          kTarget);
+    DemiServer server(rig.server_libos, kEchoPort, EchoReply);
+    DemiClient client(rig.client_libos, Endpoint{rig.server_host->ip, kEchoPort}, kTarget,
+                      EchoRequests(rig.client_libos, 64), EchoReplyOk(64));
     rig.h->faults().ScheduleDeviceFailure(rig.client_host->nic->fault_device(),
                                           400 * kMicrosecond);
     EXPECT_TRUE(rig.h->RunUntil([&] { return client.done() || client.failed(); },
